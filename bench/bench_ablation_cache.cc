@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
       config.num_super_peers = 100;
       config.dims = 4;
       config.seed = options.seed;
-      config.scan_chunk_size = options.scan_chunk;
       config.enable_cache = cached == 1;
       SkypeerNetwork network(config);
       network.Preprocess();

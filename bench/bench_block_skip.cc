@@ -6,9 +6,7 @@
 // contract: identical skyline, identical scan count and identical final
 // threshold; op counts may differ only in the new `summary_tests` /
 // `blocks_skipped` charges and in reduced dominance-test / page-read
-// charges. Scans run with `use_rtree = false` so window probes are
-// charged as dominance tests (the R-tree twin charges node tests
-// instead and reports zero here).
+// charges.
 //
 // Two sections:
 //
@@ -72,7 +70,6 @@ struct SkipOutcome {
 SkipOutcome Scan(const StoreView& input, Subspace u, const ResultList* filter,
                  bool block_skip) {
   ThresholdScanOptions options;
-  options.use_rtree = false;  // Charge window probes as dominance tests.
   options.filter = filter;
   options.block_skip = block_skip;
   ThresholdScanStats stats;
@@ -262,7 +259,7 @@ int Run(const BenchOptions& options) {
   const ResultList& remote = partitions[parts - 1];
   const size_t frames =
       options.buffer_pages > 0 ? options.buffer_pages : 8;
-  BufferManager buffer(options.page_size, frames, ThreadPool::Global());
+  BufferManager buffer(options.page_size, frames, BufferManager::GlobalPool{});
   const PagedStore paged_store = PagedStore::Build(remote, &buffer);
   const StoreView paged(&paged_store);
   const StoreView mem(&remote, options.page_size,

@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
   base.dims = 6;
   base.seed = options.seed;
   base.dynamic_membership = true;
-  base.scan_chunk_size = options.scan_chunk;
   base.speculative_rt = options.speculative_rt;
   base.filter_set_size = options.filter_set;
   base.block_skip = options.block_skip;

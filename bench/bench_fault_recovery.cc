@@ -23,7 +23,6 @@ int main(int argc, char** argv) {
   base.dims = 8;
   base.seed = options.seed;
   base.measure_cpu = false;
-  base.scan_chunk_size = options.scan_chunk;
   base.speculative_rt = options.speculative_rt;
   base.reliable = true;
 

@@ -1,7 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the computational kernels under
-// the SKYPEER protocol: dominance tests, R-tree operations, the
-// centralized skyline algorithms, Algorithm 1's threshold scan and
-// Algorithm 2's merge.
+// the SKYPEER protocol: dominance tests, the centralized skyline
+// algorithms, Algorithm 1's threshold scan and Algorithm 2's merge.
 
 #include <benchmark/benchmark.h>
 
@@ -19,7 +18,6 @@
 #include "skypeer/algo/anchored_skyline.h"
 #include "skypeer/algo/skyband.h"
 #include "skypeer/btree/bplus_tree.h"
-#include "skypeer/rtree/rtree.h"
 
 namespace skypeer {
 namespace {
@@ -56,35 +54,6 @@ void BM_ExtDominates(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExtDominates)->Arg(2)->Arg(8);
-
-void BM_RTreeInsert(benchmark::State& state) {
-  const int dims = static_cast<int>(state.range(0));
-  PointSet data = UniformData(dims, 10000, 3);
-  for (auto _ : state) {
-    RTree tree(dims);
-    for (size_t i = 0; i < data.size(); ++i) {
-      tree.Insert(data[i], i);
-    }
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * data.size());
-}
-BENCHMARK(BM_RTreeInsert)->Arg(2)->Arg(3)->Arg(5);
-
-void BM_RTreeAnyDominates(benchmark::State& state) {
-  const int dims = static_cast<int>(state.range(0));
-  PointSet data = UniformData(dims, 10000, 4);
-  RTree tree(dims);
-  for (size_t i = 0; i < data.size(); ++i) {
-    tree.Insert(data[i], i);
-  }
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.AnyDominates(data[i % data.size()]));
-    ++i;
-  }
-}
-BENCHMARK(BM_RTreeAnyDominates)->Arg(2)->Arg(3)->Arg(5);
 
 void BM_SkylineBnl(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -133,25 +102,6 @@ void BM_SortedSkylineScan(benchmark::State& state) {
 }
 BENCHMARK(BM_SortedSkylineScan)->Arg(1000)->Arg(10000)->Arg(100000);
 
-void BM_ParallelSortedSkylineScan(benchmark::State& state) {
-  // Chunked parallel form of Algorithm 1 on the global pool:
-  // range(0) = input size, range(1) = chunk size (0 = sequential).
-  const size_t n = static_cast<size_t>(state.range(0));
-  const size_t chunk = static_cast<size_t>(state.range(1));
-  PointSet data = UniformData(8, n, 8);
-  ResultList sorted = BuildSortedByF(data);
-  const Subspace u = Subspace::FromDims({0, 3, 6});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ParallelSortedSkyline(sorted, u, chunk));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_ParallelSortedSkylineScan)
-    ->Args({100000, 0})
-    ->Args({100000, 16384})
-    ->Args({100000, 32768})
-    ->UseRealTime();
-
 void BM_ExtendedSkyline(benchmark::State& state) {
   // The peer-side pre-processing kernel.
   const size_t n = static_cast<size_t>(state.range(0));
@@ -178,21 +128,6 @@ void BM_MergeSortedSkylines(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MergeSortedSkylines)->Arg(2)->Arg(8)->Arg(32);
-
-void BM_RTreeBulkLoad(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  PointSet data = UniformData(3, n, 11);
-  std::vector<uint64_t> payloads(n);
-  for (size_t i = 0; i < n; ++i) {
-    payloads[i] = i;
-  }
-  for (auto _ : state) {
-    RTree tree = RTree::BulkLoad(3, data.values().data(), payloads.data(), n);
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_RTreeBulkLoad)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_BPlusTreeInsert(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -4,8 +4,8 @@
 // The bench builds one large f-sorted store, spills it through a
 // deliberately small pinning buffer pool (`--buffer-pages`, default 16
 // frames here — the store is sized to >= 10x the pool by construction)
-// and runs unconstrained subspace scans in both store modes, sequential
-// and chunked-parallel. It reports wall time per mode and the measured
+// and runs unconstrained subspace scans in both store modes. It reports
+// wall time per mode and the measured
 // paged/in-memory slowdown, and *asserts* the paging contract on every
 // row: identical skylines and identical op counts — including the
 // logical `page_reads`/`page_bytes` charges, which are pure functions of
@@ -14,7 +14,7 @@
 // `physical:` prefix and appear in no deterministic output.
 //
 //   ./bench_paged_scan [--buffer-pages N] [--page-size B] [--threads N]
-//                      [--scan-chunk N] [--seed S] [--json PATH] [--full]
+//                      [--seed S] [--json PATH] [--full]
 
 #include <algorithm>
 #include <chrono>
@@ -90,7 +90,7 @@ int Run(const BenchOptions& options) {
   Rng rng(options.seed);
   const ResultList store_list =
       BuildSortedByF(GenerateUniform(dims, points, &rng));
-  BufferManager buffer(options.page_size, frames, ThreadPool::Global());
+  BufferManager buffer(options.page_size, frames, BufferManager::GlobalPool{});
   const PagedStore paged_store = PagedStore::Build(store_list, &buffer);
 
   const size_t store_pages = paged_store.num_pages();
@@ -106,9 +106,6 @@ int Run(const BenchOptions& options) {
 
   const StoreView in_memory(&store_list, options.page_size);
   const StoreView paged(&paged_store);
-  const size_t chunk = options.scan_chunk > 0
-                           ? options.scan_chunk
-                           : 4 * layout.points_per_page();
 
   const std::vector<Subspace> subspaces = {
       Subspace::FromDims({0, 1}),
@@ -117,8 +114,7 @@ int Run(const BenchOptions& options) {
   };
 
   Table table({"k", "result", "scanned", "page_reads", "mem_ms", "paged_ms",
-               "slowdown", "mem_chunk_ms", "paged_chunk_ms",
-               "chunk_slowdown"});
+               "slowdown"});
   for (const Subspace& u : subspaces) {
     ThresholdScanOptions scan_options;  // Unconstrained full-store scan.
 
@@ -128,37 +124,17 @@ int Run(const BenchOptions& options) {
     const ScanOutcome pgd = Repeat(repeats, [&](ThresholdScanStats* stats) {
       return SortedSkyline(paged, u, scan_options, stats);
     });
-    // The tentpole invariant, sequential form: identical result and
-    // identical op counts — page charges included — in both modes.
+    // The paging invariant: identical result and identical op counts —
+    // page charges included — in both modes.
     SKYPEER_CHECK(pgd.result_size == mem.result_size);
     SKYPEER_CHECK(pgd.scanned == mem.scanned);
     SKYPEER_CHECK(pgd.ops == mem.ops);
-
-    const ScanOutcome mem_chunk =
-        Repeat(repeats, [&](ThresholdScanStats* stats) {
-          return ParallelSortedSkyline(in_memory, u, chunk, scan_options,
-                                       stats);
-        });
-    const ScanOutcome pgd_chunk =
-        Repeat(repeats, [&](ThresholdScanStats* stats) {
-          return ParallelSortedSkyline(paged, u, chunk, scan_options, stats);
-        });
-    // Chunked form: same invariant between the modes (chunked op counts
-    // differ from sequential ones by design, not between modes).
-    SKYPEER_CHECK(pgd_chunk.result_size == mem_chunk.result_size);
-    SKYPEER_CHECK(pgd_chunk.result_size == mem.result_size);
-    SKYPEER_CHECK(pgd_chunk.scanned == mem_chunk.scanned);
-    SKYPEER_CHECK(pgd_chunk.ops == mem_chunk.ops);
 
     table.AddRow({std::to_string(u.Count()), std::to_string(mem.result_size),
                   std::to_string(mem.scanned),
                   std::to_string(mem.ops.page_reads), FmtMs(mem.best_wall_s),
                   FmtMs(pgd.best_wall_s),
-                  Fmt(pgd.best_wall_s / std::max(1e-9, mem.best_wall_s), 2),
-                  FmtMs(mem_chunk.best_wall_s), FmtMs(pgd_chunk.best_wall_s),
-                  Fmt(pgd_chunk.best_wall_s /
-                          std::max(1e-9, mem_chunk.best_wall_s),
-                      2)});
+                  Fmt(pgd.best_wall_s / std::max(1e-9, mem.best_wall_s), 2)});
   }
   table.Print();
 

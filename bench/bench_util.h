@@ -23,9 +23,6 @@ namespace skypeer::bench {
 ///   --seed S       master seed (default 1)
 ///   --threads N    worker threads (default hardware_concurrency;
 ///                  1 = sequential); simulated metrics are unaffected
-///   --scan-chunk N chunk size of the chunked parallel threshold scan at
-///                  super-peers (default 0 = sequential scan); results
-///                  are identical either way
 ///   --speculative-rt stage RT*M/pipeline scans concurrently under the
 ///                  initiator's fixed threshold and reconcile on arrival
 ///                  of the refined value; results are identical
@@ -64,7 +61,6 @@ struct BenchOptions {
   int queries = -1;  // -1: use the bench's default.
   uint64_t seed = 1;
   int threads = 0;  // 0: hardware_concurrency.
-  size_t scan_chunk = 0;  // 0: sequential threshold scans.
   size_t filter_set = 0;  // 0: no broadcast filter set.
   size_t page_size = kDefaultPageSize;
   size_t buffer_pages = 0;  // 0: in-memory stores.
@@ -151,13 +147,12 @@ inline std::string JsonNumber(double value) {
 inline std::string JsonOpCounts(const OpCounts& ops) {
   char buffer[640];
   std::snprintf(buffer, sizeof(buffer),
-                "{\"dominance_tests\":%llu,\"rtree_node_visits\":%llu,"
-                "\"scan_steps\":%llu,\"merge_pulls\":%llu,"
-                "\"sort_steps\":%llu,\"bytes_serialized\":%llu,"
+                "{\"dominance_tests\":%llu,\"scan_steps\":%llu,"
+                "\"merge_pulls\":%llu,\"sort_steps\":%llu,"
+                "\"bytes_serialized\":%llu,"
                 "\"page_reads\":%llu,\"page_bytes\":%llu,"
                 "\"summary_tests\":%llu,\"blocks_skipped\":%llu}",
                 static_cast<unsigned long long>(ops.dominance_tests),
-                static_cast<unsigned long long>(ops.rtree_node_visits),
                 static_cast<unsigned long long>(ops.scan_steps),
                 static_cast<unsigned long long>(ops.merge_pulls),
                 static_cast<unsigned long long>(ops.sort_steps),
@@ -208,9 +203,6 @@ inline BenchOptions ParseArgs(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       options.threads =
           static_cast<int>(ParseIntFlag("--threads", argv[++i], 0, 4096));
-    } else if (std::strcmp(argv[i], "--scan-chunk") == 0 && i + 1 < argc) {
-      options.scan_chunk =
-          static_cast<size_t>(ParseU64Flag("--scan-chunk", argv[++i]));
     } else if (std::strcmp(argv[i], "--filter-set") == 0 && i + 1 < argc) {
       options.filter_set =
           static_cast<size_t>(ParseU64Flag("--filter-set", argv[++i]));
@@ -272,7 +264,7 @@ inline BenchOptions ParseArgs(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--help") == 0) {
       std::printf(
           "usage: %s [--queries N] [--seed S] [--threads N] "
-          "[--scan-chunk N] [--filter-set N] [--page-size B] "
+          "[--filter-set N] [--page-size B] "
           "[--buffer-pages N] [--cache-cap N] [--churn-events N] "
           "[--churn-rate R] [--churn-seed S] [--rebuild-maintenance] "
           "[--block-skip] [--speculative-rt] "
@@ -294,13 +286,13 @@ inline BenchOptions ParseArgs(int argc, char** argv) {
   std::snprintf(
       buffer, sizeof(buffer),
       "{\"queries\": %d, \"seed\": %llu, \"threads\": %d, "
-      "\"scan_chunk\": %llu, \"filter_set\": %llu, \"page_size\": %llu, "
+      "\"filter_set\": %llu, \"page_size\": %llu, "
       "\"buffer_pages\": %llu, \"cache_cap\": %llu, \"churn_events\": %d, "
       "\"churn_rate\": %s, \"churn_seed\": %llu, "
       "\"rebuild_maintenance\": %s, \"block_skip\": %s, "
       "\"speculative_rt\": %s, \"full\": %s, \"cost_model\": \"%s\"}",
       options.queries, static_cast<unsigned long long>(options.seed),
-      options.threads, static_cast<unsigned long long>(options.scan_chunk),
+      options.threads,
       static_cast<unsigned long long>(options.filter_set),
       static_cast<unsigned long long>(options.page_size),
       static_cast<unsigned long long>(options.buffer_pages),
@@ -404,11 +396,10 @@ inline std::string Fmt(double value, int precision = 3) {
 inline std::string FmtMs(double seconds) { return Fmt(seconds * 1e3, 3); }
 
 /// Builds + preprocesses a network, echoing the configuration. Applies
-/// the harness options that map onto the network config (`--scan-chunk`,
-/// `--speculative-rt`, `--cost-model`).
+/// the harness options that map onto the network config (`--filter-set`,
+/// `--speculative-rt`, `--cost-model`, ...).
 inline SkypeerNetwork BuildNetwork(NetworkConfig config,
                                    const BenchOptions& options) {
-  config.scan_chunk_size = options.scan_chunk;
   config.filter_set_size = options.filter_set;
   config.block_skip = options.block_skip;
   config.speculative_rt = options.speculative_rt;
@@ -425,16 +416,16 @@ inline SkypeerNetwork BuildNetwork(NetworkConfig config,
   }
   std::printf(
       "# N_p=%d N_sp=%d points/peer=%d d=%d DEG_sp=%.0f dist=%s seed=%llu "
-      "scan_chunk=%zu filter_set=%zu block_skip=%d page_size=%zu "
-      "buffer_pages=%zu cost_model=%s\n",
+      "filter_set=%zu block_skip=%d page_size=%zu buffer_pages=%zu "
+      "cost_model=%s\n",
       config.num_peers,
       config.num_super_peers > 0 ? config.num_super_peers
                                  : DefaultNumSuperPeers(config.num_peers),
       config.points_per_peer, config.dims, config.degree_sp,
       DistributionName(config.distribution),
-      static_cast<unsigned long long>(config.seed), config.scan_chunk_size,
-      config.filter_set_size, config.block_skip ? 1 : 0, config.page_size,
-      config.buffer_pages, CostModelModeName(config.cost_model.mode));
+      static_cast<unsigned long long>(config.seed), config.filter_set_size,
+      config.block_skip ? 1 : 0, config.page_size, config.buffer_pages,
+      CostModelModeName(config.cost_model.mode));
   return SkypeerNetwork(config);
 }
 

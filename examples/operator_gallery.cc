@@ -1,8 +1,8 @@
 // A tour of every skyline-family operator in the library on one small
 // hotel-style dataset: skyline, extended skyline, k-skyband, top-k
-// dominating, constrained skyline, NN-skyline and the cluster-anchored
-// index — all computing over the same points so their relationships are
-// visible side by side.
+// dominating, constrained skyline and the cluster-anchored index — all
+// computing over the same points so their relationships are visible side
+// by side.
 //
 //   $ ./operator_gallery
 
@@ -12,7 +12,6 @@
 #include "skypeer/algo/bnl.h"
 #include "skypeer/algo/constrained.h"
 #include "skypeer/algo/extended_skyline.h"
-#include "skypeer/algo/nn_skyline.h"
 #include "skypeer/algo/skyband.h"
 #include "skypeer/algo/top_k_dominating.h"
 #include "skypeer/common/rng.h"
@@ -68,12 +67,6 @@ int main() {
               "[0.3, 0.6])\n",
               constrained.size());
 
-  NnSkylineStats nn_stats;
-  const PointSet nn = NnSkyline(hotels, u, &nn_stats);
-  std::printf("NN-skyline:         %3zu hotels via %zu NN searches "
-              "(progressive)\n",
-              nn.size(), nn_stats.nn_queries);
-
   AnchoredSkylineIndex::Options anchored_options;
   anchored_options.num_anchors = 4;
   AnchoredSkylineIndex index(hotels, anchored_options);
@@ -84,12 +77,12 @@ int main() {
               anchored.size(), anchored_stats.scanned, hotels.size());
 
   // All exact-skyline methods agree.
-  if (skyline.size() != nn.size() || skyline.size() != anchored.size()) {
+  if (skyline.size() != anchored.size()) {
     std::printf("\nMISMATCH between exact methods!\n");
     return 1;
   }
-  std::printf("\nskyline == NN-skyline == anchored query; every other "
-              "operator is a\nsuperset (skybands, ext) or a re-ranking "
-              "(top-k, constrained).\n");
+  std::printf("\nskyline == anchored query; every other operator is a\n"
+              "superset (skybands, ext) or a re-ranking (top-k, "
+              "constrained).\n");
   return 0;
 }

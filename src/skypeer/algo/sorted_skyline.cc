@@ -7,7 +7,6 @@
 
 #include "skypeer/common/dominance_batch.h"
 #include "skypeer/common/mapping.h"
-#include "skypeer/common/thread_pool.h"
 
 namespace skypeer {
 
@@ -20,16 +19,16 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Shared consume loop of every threshold-scan form: scans positions
-/// [begin, end) of `input` in ascending order, offering each point whose
-/// `f` is within the accumulator's running threshold, and returns the
-/// number of points consumed. Scan-level charges (scan steps, page
-/// charges and — under block skipping — summary probes and skipped
-/// blocks) accumulate into `scan_ops`, kept apart from the accumulator's
-/// window-evolution ops so traced scans record replayable `cum_ops`.
+/// Shared consume loop of every threshold-scan form: scans `input` in
+/// ascending order, offering each point whose `f` is within the
+/// accumulator's running threshold, and returns the number of points
+/// consumed. Scan-level charges (scan steps, page charges and — under
+/// block skipping — summary probes and skipped blocks) accumulate into
+/// `scan_ops`, kept apart from the accumulator's window-evolution ops so
+/// traced scans record replayable `cum_ops`.
 /// When `trace` is non-null, per-position events are recorded exactly as
-/// `TracedSortedSkyline` documents (only the sequential `begin == 0`
-/// forms trace, so eviction tags index the trace directly).
+/// `TracedSortedSkyline` documents; eviction tags are scan positions and
+/// index the trace directly.
 ///
 /// With `block_skip` and a store summary attached, each 8-wide block is
 /// probed before its points: a block whose min-vector is dominated by a
@@ -40,10 +39,10 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 /// charges then switch from the whole-prefix `ChargeScanPages` to
 /// incremental per-page touches, so pages covered only by wholesale-
 /// skipped blocks are never charged (nor pinned on a paged store).
-size_t RunThresholdScanLoop(const StoreView& input, Subspace u, size_t begin,
-                            size_t end, bool block_skip,
-                            SkylineAccumulator* acc, OpCounts* scan_ops,
-                            ScanTrace* trace) {
+size_t RunThresholdScanLoop(const StoreView& input, Subspace u,
+                            bool block_skip, SkylineAccumulator* acc,
+                            OpCounts* scan_ops, ScanTrace* trace) {
+  const size_t end = input.size();
   const StoreSummary* summary = input.summary();
   const bool skip = block_skip && summary != nullptr;
   if (trace != nullptr) {
@@ -71,7 +70,7 @@ size_t RunThresholdScanLoop(const StoreView& input, Subspace u, size_t begin,
 
   if (!skip) {
     size_t scanned = 0;
-    for (size_t i = begin; i < end; ++i) {
+    for (size_t i = 0; i < end; ++i) {
       const double f = cursor.f(i);
       if (f > acc->threshold()) {
         break;
@@ -80,7 +79,7 @@ size_t RunThresholdScanLoop(const StoreView& input, Subspace u, size_t begin,
       ++scanned;
     }
     scan_ops->scan_steps += scanned;
-    ChargeScanPages(input.layout(), begin, end, scanned, scan_ops);
+    ChargeScanPages(input.layout(), end, scanned, scan_ops);
     return scanned;
   }
 
@@ -129,7 +128,7 @@ size_t RunThresholdScanLoop(const StoreView& input, Subspace u, size_t begin,
   };
 
   size_t scanned = 0;
-  size_t i = begin;
+  size_t i = 0;
   while (i < end) {
     const size_t block = i / kDomBlockWidth;
     const size_t block_end = std::min(end, (block + 1) * kDomBlockWidth);
@@ -224,19 +223,13 @@ SkylineAccumulator::SkylineAccumulator(int dims, Subspace u,
     : dims_(dims),
       u_(u),
       strict_(options.ext),
-      use_rtree_(options.use_rtree),
       compact_min_window_(options.compact_min_window),
       compact_live_fraction_(options.compact_live_fraction),
       threshold_(options.initial_threshold),
       window_points_(dims),
       window_proj_(u.Count()) {
   SKYPEER_CHECK(!u.empty());
-  if (use_rtree_) {
-    rtree_ = std::make_unique<RTree>(u.Count());
-  }
 }
-
-SkylineAccumulator::~SkylineAccumulator() = default;
 
 void SkylineAccumulator::EvictDominatedLinear(
     const double* proj, std::vector<uint64_t>* evicted_tags) {
@@ -285,34 +278,17 @@ bool SkylineAccumulator::OfferTagged(const double* p, PointId id, double f,
     return false;
   }
 
-  if (use_rtree_) {
-    if (rtree_->AnyDominates(proj, strict_, &ops_.rtree_node_visits)) {
-      return false;
-    }
-    scratch_payloads_ =
-        rtree_->EraseDominated(proj, strict_, &ops_.rtree_node_visits);
-    for (uint64_t idx : scratch_payloads_) {
-      alive_flags_[idx] = 0;
-      window_proj_.Kill(idx);
-      --alive_;
-      if (evicted_tags != nullptr && window_tags_[idx] != kNoTag) {
-        evicted_tags->push_back(window_tags_[idx]);
-      }
-    }
-  } else {
-    // Killed lanes are +inf and never dominate, so the batched test needs
-    // no liveness filtering. Count the logical window size, not the
-    // kernel's internal lane count, so scalar and SIMD dispatch report
-    // identical work.
-    ops_.dominance_tests += window_points_.size();
-    if (AnyDominates(window_proj_, proj, strict_)) {
-      return false;
-    }
-    EvictDominatedLinear(proj, evicted_tags);
+  // Killed lanes are +inf and never dominate, so the batched test needs
+  // no liveness filtering. Count the logical window size, not the
+  // kernel's internal lane count, so scalar and SIMD dispatch report
+  // identical work.
+  ops_.dominance_tests += window_points_.size();
+  if (AnyDominates(window_proj_, proj, strict_)) {
+    return false;
   }
+  EvictDominatedLinear(proj, evicted_tags);
   MaybeCompact();
 
-  const uint64_t index = window_points_.size();
   window_points_.Append(p, id);
   window_f_.push_back(f);
   alive_flags_.push_back(1);
@@ -320,9 +296,6 @@ bool SkylineAccumulator::OfferTagged(const double* p, PointId id, double f,
   window_tags_.push_back(tag);
   window_proj_.Append(proj);
   ++alive_;
-  if (use_rtree_) {
-    rtree_->Insert(proj, index, &ops_.rtree_node_visits);
-  }
 
   // A dominator has dist_U no larger than any point it dominates, so the
   // minimum only ever decreases; track it incrementally.
@@ -338,10 +311,9 @@ bool SkylineAccumulator::WindowRejectsSummary(const double* min_row) const {
       proj[j++] = min_row[dim];
     }
   }
-  // `window_proj_` is maintained by both the R-tree and the linear offer
-  // paths, so the probe is one batched kernel call either way; killed
-  // lanes are +inf and never dominate. Deliberately uncharged here —
-  // callers account `summary_tests` in scan-level ops (see header).
+  // One batched kernel call; killed lanes are +inf and never dominate.
+  // Deliberately uncharged here — callers account `summary_tests` in
+  // scan-level ops (see header).
   return AnyDominatesSummary(window_proj_, proj, strict_);
 }
 
@@ -351,7 +323,6 @@ void SkylineAccumulator::MaybeCompact() {
         compact_live_fraction_ * static_cast<double>(window_points_.size()))) {
     return;
   }
-  const int k = u_.Count();
   PointSet points(dims_);
   points.Reserve(alive_);
   std::vector<double> f;
@@ -360,10 +331,8 @@ void SkylineAccumulator::MaybeCompact() {
   emit.reserve(alive_);
   std::vector<uint64_t> tags;
   tags.reserve(alive_);
-  // Gather alive projections into a row-major scratch (also the bulk-load
-  // input when `use_rtree_`), then re-block.
-  std::vector<double> proj_rows;
-  proj_rows.reserve(alive_ * static_cast<size_t>(k));
+  BlockedProjection proj(u_.Count());
+  proj.Reserve(alive_);
   double row[kMaxDims];
   for (size_t i = 0; i < window_points_.size(); ++i) {
     if (!alive_flags_[i]) {
@@ -374,26 +343,14 @@ void SkylineAccumulator::MaybeCompact() {
     emit.push_back(emit_flags_[i]);
     tags.push_back(window_tags_[i]);
     window_proj_.Row(i, row);
-    proj_rows.insert(proj_rows.end(), row, row + k);
+    proj.Append(row);
   }
   window_points_ = std::move(points);
   window_f_ = std::move(f);
   emit_flags_ = std::move(emit);
   window_tags_ = std::move(tags);
-  window_proj_.Clear();
-  window_proj_.Reserve(alive_);
-  for (size_t i = 0; i < alive_; ++i) {
-    window_proj_.Append(proj_rows.data() + i * static_cast<size_t>(k));
-  }
+  window_proj_ = std::move(proj);
   alive_flags_.assign(alive_, 1);
-  if (use_rtree_) {
-    // The payloads are window indices; renumber them 0..alive-1 to match
-    // the compacted arrays.
-    std::vector<uint64_t> payloads(alive_);
-    std::iota(payloads.begin(), payloads.end(), uint64_t{0});
-    *rtree_ = RTree::BulkLoad(k, proj_rows.data(), payloads.data(), alive_);
-    ops_.sort_steps += SortCost(alive_);
-  }
 }
 
 ResultList SkylineAccumulator::TakeResult() {
@@ -413,43 +370,30 @@ ResultList SkylineAccumulator::TakeResult() {
   window_tags_.clear();
   window_proj_.Clear();
   alive_ = 0;
-  if (use_rtree_) {
-    rtree_->Clear();
-  }
   return result;
 }
 
 void SkylineAccumulator::SeedWindow(const ResultList& seed) {
   SKYPEER_CHECK(window_points_.empty());
-  const int k = u_.Count();
   const size_t n = seed.size();
   window_points_.Reserve(n);
   window_f_.reserve(n);
   window_proj_.Reserve(n);
-  // Row-major copy of the seed projections, kept as bulk-load input.
-  std::vector<double> proj_rows;
-  proj_rows.reserve(n * static_cast<size_t>(k));
+  double proj[kMaxDims];
   for (size_t i = 0; i < n; ++i) {
     window_points_.AppendFrom(seed.points, i);
     window_f_.push_back(seed.f[i]);
     const double* p = seed.points[i];
+    int j = 0;
     for (int dim : u_) {
-      proj_rows.push_back(p[dim]);
+      proj[j++] = p[dim];
     }
-    window_proj_.Append(proj_rows.data() + i * static_cast<size_t>(k));
+    window_proj_.Append(proj);
   }
   alive_flags_.assign(n, 1);
   emit_flags_.assign(n, 0);
   window_tags_.assign(n, kNoTag);
   alive_ = n;
-  if (use_rtree_ && n > 0) {
-    // Seeds arrive all at once on an empty window: bulk loading beats n
-    // incremental inserts.
-    std::vector<uint64_t> payloads(n);
-    std::iota(payloads.begin(), payloads.end(), uint64_t{0});
-    *rtree_ = RTree::BulkLoad(k, proj_rows.data(), payloads.data(), n);
-    ops_.sort_steps += SortCost(n);
-  }
 }
 
 ResultList SortedSkyline(const StoreView& input, Subspace u,
@@ -463,8 +407,8 @@ ResultList SortedSkyline(const StoreView& input, Subspace u,
   }
   OpCounts scan_ops;
   const size_t scanned =
-      RunThresholdScanLoop(input, u, 0, input.size(), options.block_skip,
-                           &accumulator, &scan_ops, nullptr);
+      RunThresholdScanLoop(input, u, options.block_skip, &accumulator,
+                           &scan_ops, nullptr);
   if (stats != nullptr) {
     stats->scanned = scanned;
     stats->final_threshold = accumulator.threshold();
@@ -498,8 +442,8 @@ ResultList TracedSortedSkyline(const StoreView& input, Subspace u,
   }
   OpCounts scan_ops;
   const size_t scanned =
-      RunThresholdScanLoop(input, u, 0, input.size(), options.block_skip,
-                           &accumulator, &scan_ops, trace);
+      RunThresholdScanLoop(input, u, options.block_skip, &accumulator,
+                           &scan_ops, trace);
   if (stats != nullptr) {
     stats->scanned = scanned;
     stats->final_threshold = accumulator.threshold();
@@ -550,7 +494,7 @@ ResultList ReplayScanTrace(const StoreView& input, const ScanTrace& trace,
     }
     if (!trace.block_skip) {
       stats->ops.scan_steps += cut;
-      ChargeScanPages(input.layout(), 0, input.size(), cut, &stats->ops);
+      ChargeScanPages(input.layout(), input.size(), cut, &stats->ops);
     } else {
       // Closed-form reconstruction of the skip scan's charges at the
       // replayed cut, exact because the summary probes are
@@ -597,222 +541,6 @@ ResultList ReplayScanTrace(const StoreView& input, const ScanTrace& trace,
     stats->cpu_seconds = SecondsSince(start);
   }
   return result;
-}
-
-ResultList ParallelSortedSkyline(const StoreView& input, Subspace u,
-                                 size_t chunk_size,
-                                 const ThresholdScanOptions& options,
-                                 ThresholdScanStats* stats, ThreadPool* pool) {
-  // Whole-page chunks: concurrent chunk cursors never share a buffer
-  // frame, and per-chunk page charges cover disjoint page ranges. The
-  // snap depends only on the layout, so in-memory and paged runs split
-  // identically.
-  chunk_size = SnapChunkToPages(input.layout(), chunk_size);
-  // Pages hold whole 8-wide blocks, so page-snapped chunks are also
-  // block-aligned — in-memory mode included, where pages are purely
-  // logical. Block-skipping chunk scans rely on this: a summary block
-  // never straddles two chunks, so per-chunk probe sequences (and their
-  // charges) are the same ones a sequential skip scan would issue.
-  SKYPEER_DCHECK(chunk_size % kDomBlockWidth == 0);
-  if (chunk_size == 0 || input.size() <= chunk_size) {
-    return SortedSkyline(input, u, options, stats);
-  }
-  SKYPEER_DCHECK(input.list() == nullptr || input.list()->IsSorted());
-  if (pool == nullptr) {
-    pool = ThreadPool::Global();
-  }
-  const int dims = input.dims();
-  const size_t num_chunks = (input.size() + chunk_size - 1) / chunk_size;
-
-  std::vector<ResultList> chunk_results;
-  chunk_results.reserve(num_chunks);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    chunk_results.emplace_back(dims);
-  }
-  std::vector<ThresholdScanStats> chunk_stats(num_chunks);
-
-  const ResultList* broadcast_filter =
-      (options.filter != nullptr && !options.filter->empty()) ? options.filter
-                                                              : nullptr;
-  // Seed list for chunks > 0; assigned after chunk 0 completes, before
-  // the fan-out. With a broadcast filter it is the concatenation of the
-  // filter and chunk 0's survivors (a dominated entry in the combined
-  // list is an inert extra pruner), otherwise chunk 0's survivors alone.
-  ResultList combined_seed(dims);
-  const ResultList* later_seed = nullptr;
-
-  const auto scan_chunk = [&](size_t c, double seed) {
-    const auto chunk_start = std::chrono::steady_clock::now();
-    ThresholdScanOptions chunk_options = options;
-    chunk_options.initial_threshold = seed;
-    SkylineAccumulator accumulator(dims, u, chunk_options);
-    if (c == 0) {
-      if (broadcast_filter != nullptr) {
-        accumulator.SeedWindow(*broadcast_filter);
-      }
-    } else {
-      // Chunk 0's survivors — the sequential scan's hot window — reject
-      // most duplicated chunk-local survivors up front. They are
-      // computed before the fan-out, so the rejections (and hence every
-      // per-chunk result and scan count) stay deterministic; and they
-      // remain in the survivor union themselves, so the cross-filter
-      // below removes exactly the same points either way. The broadcast
-      // filter rides along uniformly: any point only a filter point
-      // dominates is rejected in every chunk alike, so it never reaches
-      // the survivor union.
-      accumulator.SeedWindow(*later_seed);
-    }
-    const size_t begin = c * chunk_size;
-    const size_t end = std::min(input.size(), begin + chunk_size);
-    OpCounts scan_ops;
-    const size_t scanned =
-        RunThresholdScanLoop(input, u, begin, end, options.block_skip,
-                             &accumulator, &scan_ops, nullptr);
-    chunk_stats[c].scanned = scanned;
-    chunk_stats[c].final_threshold = accumulator.threshold();
-    chunk_stats[c].ops = accumulator.ops();
-    chunk_stats[c].ops += scan_ops;
-    chunk_results[c] = accumulator.TakeResult();
-    // Self-measured work time of this chunk on its executing thread;
-    // pool queueing time never enters the sum.
-    chunk_stats[c].cpu_seconds = SecondsSince(chunk_start);
-  };
-
-  // Chunk 0 — the prefix the sequential scan would consume first — runs
-  // before the fan-out so its final threshold seeds every later chunk.
-  scan_chunk(0, options.initial_threshold);
-
-  if (broadcast_filter == nullptr) {
-    later_seed = &chunk_results[0];
-  } else {
-    combined_seed.points.Reserve(broadcast_filter->size() +
-                                 chunk_results[0].size());
-    combined_seed.f.reserve(broadcast_filter->size() +
-                            chunk_results[0].size());
-    for (size_t i = 0; i < broadcast_filter->size(); ++i) {
-      combined_seed.points.AppendFrom(broadcast_filter->points, i);
-      combined_seed.f.push_back(broadcast_filter->f[i]);
-    }
-    for (size_t i = 0; i < chunk_results[0].size(); ++i) {
-      combined_seed.points.AppendFrom(chunk_results[0].points, i);
-      combined_seed.f.push_back(chunk_results[0].f[i]);
-    }
-    later_seed = &combined_seed;
-  }
-
-  // Deterministic seeds: chunk c starts from the tightest bound derivable
-  // from chunk 0's scan and the first point of chunks 1..c-1. Observation 5
-  // holds for the dist_U of any point (accepted or not), so the seed only
-  // prunes dominated points; and because the seeds depend on the input
-  // alone, per-chunk scan counts never vary with scheduling.
-  std::vector<double> seeds(num_chunks);
-  {
-    // Seed rows sit on pages the chunk scans themselves examine (every
-    // chunk reads at least its first position), so they add no page
-    // charges of their own.
-    StoreCursor seed_cursor(input);
-    double bound = chunk_stats[0].final_threshold;
-    for (size_t c = 1; c < num_chunks; ++c) {
-      seeds[c] = bound;
-      bound = std::min(bound, DistU(seed_cursor.row(c * chunk_size), u));
-    }
-  }
-  pool->ParallelFor(num_chunks - 1,
-                    [&](size_t i) { scan_chunk(i + 1, seeds[i + 1]); });
-
-  // Cross-filter: the final skyline is exactly the survivors that no
-  // other survivor dominates. Any input point that dominates a survivor
-  // resolves — through chunk evictions and threshold witnesses, both of
-  // which strictly dominate what they prune — to a survivor that also
-  // dominates it, so filtering against the survivor union alone is
-  // exact. The test is order-independent (a point never dominates
-  // itself or an equal projection), which makes this stage
-  // embarrassingly parallel, unlike a serial Algorithm 2 re-merge whose
-  // single accumulator pass would bound the speedup on skyline-heavy
-  // stores.
-  size_t total = 0;
-  for (const ResultList& r : chunk_results) {
-    total += r.size();
-  }
-  const int k = u.Count();
-  std::vector<double> proj(total * static_cast<size_t>(k));
-  {
-    size_t offset = 0;
-    for (const ResultList& r : chunk_results) {
-      for (size_t i = 0; i < r.size(); ++i, ++offset) {
-        const double* p = r.points[i];
-        double* row = proj.data() + offset * static_cast<size_t>(k);
-        int j = 0;
-        for (int dim : u) {
-          row[j++] = p[dim];
-        }
-      }
-    }
-  }
-  std::vector<uint64_t> payloads(total);
-  std::iota(payloads.begin(), payloads.end(), uint64_t{0});
-  const auto filter_start = std::chrono::steady_clock::now();
-  const RTree tree = RTree::BulkLoad(k, proj.data(), payloads.data(), total);
-  const double bulk_load_s = SecondsSince(filter_start);
-  std::vector<uint8_t> keep(total, 0);
-  constexpr size_t kFilterBlock = 1024;
-  const size_t num_blocks = (total + kFilterBlock - 1) / kFilterBlock;
-  // Per-block local counters/timers, folded in block order afterwards:
-  // the shared tree is traversed concurrently, so counting through a
-  // shared accumulator would race (and break cross-thread determinism).
-  std::vector<uint64_t> block_visits(num_blocks, 0);
-  std::vector<double> block_cpu(num_blocks, 0.0);
-  pool->ParallelFor(num_blocks, [&](size_t b) {
-    const auto block_start = std::chrono::steady_clock::now();
-    const size_t begin = b * kFilterBlock;
-    const size_t end = std::min(total, begin + kFilterBlock);
-    for (size_t i = begin; i < end; ++i) {
-      keep[i] = !tree.AnyDominates(proj.data() + i * static_cast<size_t>(k),
-                                   options.ext, &block_visits[b]);
-    }
-    block_cpu[b] = SecondsSince(block_start);
-  });
-
-  // Concatenating in chunk order restores the original (f, position)
-  // order, and the final threshold — min dist_U over the survivors —
-  // matches the sequential accumulator's (every evicted point has an
-  // evictor chain ending in a survivor with dist_U no larger).
-  ResultList merged(dims);
-  double final_threshold = options.initial_threshold;
-  {
-    size_t offset = 0;
-    for (const ResultList& r : chunk_results) {
-      for (size_t i = 0; i < r.size(); ++i, ++offset) {
-        if (!keep[offset]) {
-          continue;
-        }
-        merged.points.AppendFrom(r.points, i);
-        merged.f.push_back(r.f[i]);
-        final_threshold = std::min(final_threshold, DistU(r.points[i], u));
-      }
-    }
-  }
-  if (stats != nullptr) {
-    stats->scanned = 0;
-    stats->ops = OpCounts{};
-    stats->cpu_seconds = 0.0;
-    // Fixed summation order (chunks ascending, then the cross-filter's
-    // bulk load and blocks ascending) keeps both the counts and the
-    // measured-seconds sum independent of scheduling.
-    for (const ThresholdScanStats& chunk : chunk_stats) {
-      stats->scanned += chunk.scanned;
-      stats->ops += chunk.ops;
-      stats->cpu_seconds += chunk.cpu_seconds;
-    }
-    stats->ops.sort_steps += SortCost(total);
-    stats->cpu_seconds += bulk_load_s;
-    for (size_t b = 0; b < num_blocks; ++b) {
-      stats->ops.rtree_node_visits += block_visits[b];
-      stats->cpu_seconds += block_cpu[b];
-    }
-    stats->final_threshold = final_threshold;
-  }
-  return merged;
 }
 
 }  // namespace skypeer

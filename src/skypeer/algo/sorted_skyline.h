@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "skypeer/algo/result_list.h"
@@ -12,12 +11,9 @@
 #include "skypeer/common/op_counts.h"
 #include "skypeer/common/point_set.h"
 #include "skypeer/common/subspace.h"
-#include "skypeer/rtree/rtree.h"
 #include "skypeer/storage/store_view.h"
 
 namespace skypeer {
-
-class ThreadPool;
 
 /// Options shared by the threshold-based scan algorithms (paper
 /// Algorithms 1 and 2).
@@ -29,11 +25,6 @@ struct ThresholdScanOptions {
   /// Threshold the scan starts from. SKYPEER propagates the initiator's
   /// threshold here (paper §5.2.3); infinity means unconstrained.
   double initial_threshold = std::numeric_limits<double>::infinity();
-
-  /// Index the running skyline in an R-tree of query dimensionality
-  /// (§5.2.1). When false a linear scan over the window is used, which is
-  /// faster for small inputs and serves as a differential-testing twin.
-  bool use_rtree = true;
 
   /// Window compaction policy of `SkylineAccumulator`: evicted slots are
   /// dropped once the window holds at least `compact_min_window` entries
@@ -88,12 +79,10 @@ struct ThresholdScanStats {
   double final_threshold = std::numeric_limits<double>::infinity();
   /// Logical operations the scan performed (machine-independent; see
   /// `OpCounts`). Replays report the counts of the equivalent direct
-  /// scan, and chunked parallel scans sum per-chunk counts in chunk
-  /// order, so `ops` is identical across thread counts and kernels.
+  /// scan, so `ops` is identical across thread counts and kernels.
   OpCounts ops;
-  /// Host wall seconds of the scan's own work (per-chunk work summed for
-  /// parallel scans — pool queueing time is excluded). Only meaningful
-  /// to the measured cost model.
+  /// Host wall seconds of the scan's own work. Only meaningful to the
+  /// measured cost model.
   double cpu_seconds = 0.0;
 };
 
@@ -168,11 +157,16 @@ struct ScanTrace {
 /// pruning threshold `min dist_U` (Observation 5). Once
 /// `f(p) > threshold()` no future point can survive and the caller may
 /// stop scanning.
+///
+/// The running skyline is held in a linear window of u-projections in
+/// 8-wide SIMD blocks (`BlockedProjection`), probed by one batched kernel
+/// call per offer. The paper (§5.2.1) indexes this window in a main-memory
+/// R-tree instead; the blocked linear window measured faster (see
+/// EXPERIMENTS.md §A1), so it is the only window.
 class SkylineAccumulator {
  public:
   /// `u` is the query subspace over points of dimensionality `dims`.
   SkylineAccumulator(int dims, Subspace u, const ThresholdScanOptions& options);
-  ~SkylineAccumulator();
 
   SkylineAccumulator(const SkylineAccumulator&) = delete;
   SkylineAccumulator& operator=(const SkylineAccumulator&) = delete;
@@ -220,8 +214,7 @@ class SkylineAccumulator {
 
   /// Logical operations performed by all offers so far. Dominance tests
   /// count the window entries examined per offer (not kernel-internal
-  /// work), R-tree visits count nodes entered, and compaction rebuilds
-  /// count as sort steps — all independent of kernel dispatch.
+  /// work), independent of kernel dispatch.
   const OpCounts& ops() const { return ops_; }
 
   /// Extracts the result, sorted ascending by `f` (insertion order with
@@ -233,8 +226,8 @@ class SkylineAccumulator {
   /// may be evicted by) later offers but never appear in `TakeResult()`.
   /// Seeds need not be mutually non-dominated and need not precede future
   /// offers in `f` order — a dominated seed is an inert extra pruner, and
-  /// no decision depends on a seed's `f` value (chunk seeding satisfies
-  /// the f-order property; broadcast filter sets deliberately do not).
+  /// no decision depends on a seed's `f` value (broadcast filter sets
+  /// deliberately violate the f-order property).
   /// Only valid on an empty accumulator; does not tighten `threshold()`
   /// (fold the seed's threshold into `options.initial_threshold` instead).
   void SeedWindow(const ResultList& seed);
@@ -247,14 +240,12 @@ class SkylineAccumulator {
   /// of the entries are alive (and the window holds at least
   /// `compact_min_window_`), so the batched dominance tests and
   /// `window_proj_` stay proportional to the running skyline instead of
-  /// every point ever offered. Rebuilds the R-tree payload indices when
-  /// `use_rtree_`.
+  /// every point ever offered.
   void MaybeCompact();
 
   int dims_;
   Subspace u_;
   bool strict_;
-  bool use_rtree_;
   size_t compact_min_window_;
   double compact_live_fraction_;
   double threshold_;
@@ -274,8 +265,6 @@ class SkylineAccumulator {
   BlockedProjection window_proj_;
   size_t alive_ = 0;
 
-  std::unique_ptr<RTree> rtree_;  // over u-projections, when use_rtree_
-  std::vector<uint64_t> scratch_payloads_;
   std::vector<uint8_t> scratch_masks_;  // per-block eviction bit masks
   OpCounts ops_;
 };
@@ -328,42 +317,6 @@ inline ResultList ReplayScanTrace(const ResultList& input,
                                   const ScanTrace& trace, double threshold_in,
                                   ThresholdScanStats* stats = nullptr) {
   return ReplayScanTrace(StoreView(&input), trace, threshold_in, stats);
-}
-
-/// \brief Chunked parallel form of Algorithm 1: splits the f-sorted input
-/// into contiguous chunks of `chunk_size` points, scans them concurrently
-/// on `pool` (the process-global pool when null) and cross-filters the
-/// per-chunk survivors — in parallel, against one bulk-loaded R-tree over
-/// their union — down to the exact skyline.
-///
-/// Returns a result bit-identical to `SortedSkyline(input, u, options)` at
-/// any thread count, including `stats->final_threshold`. Chunk 0 — the
-/// sequential scan's hot prefix — runs first; its final threshold plus the
-/// `dist_U` of each earlier chunk's first point seed the remaining chunks
-/// (Observation 5 justifies pruning against the `dist_U` of *any* point,
-/// accepted or not, because `f(p) <= dist_U(p)`). The seeds depend only on
-/// the input, so `stats->scanned` — the sum of the per-chunk scan counts —
-/// is also reproducible across thread counts; it can exceed the sequential
-/// scan count because later chunks cannot see thresholds discovered
-/// concurrently.
-///
-/// `chunk_size` is snapped up to a whole number of store pages
-/// (`SnapChunkToPages`) in both store modes, so concurrent chunk cursors
-/// never share a buffer frame and per-chunk page charges are disjoint.
-/// `chunk_size == 0` (or an input no larger than one snapped chunk) falls
-/// back to the sequential scan.
-ResultList ParallelSortedSkyline(const StoreView& input, Subspace u,
-                                 size_t chunk_size,
-                                 const ThresholdScanOptions& options = {},
-                                 ThresholdScanStats* stats = nullptr,
-                                 ThreadPool* pool = nullptr);
-inline ResultList ParallelSortedSkyline(const ResultList& input, Subspace u,
-                                        size_t chunk_size,
-                                        const ThresholdScanOptions& options = {},
-                                        ThresholdScanStats* stats = nullptr,
-                                        ThreadPool* pool = nullptr) {
-  return ParallelSortedSkyline(StoreView(&input), u, chunk_size, options,
-                               stats, pool);
 }
 
 }  // namespace skypeer

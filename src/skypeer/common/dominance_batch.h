@@ -154,7 +154,7 @@ void DominatedMask(const BlockedProjection& w, const double* p, bool strict,
                    uint8_t* out_masks);
 
 /// Row-major variant of `AnyDominates` for data that lives in an existing
-/// layout (R-tree leaf entries, survivor unions): row `i` starts at
+/// layout (R-tree node and leaf entries): row `i` starts at
 /// `rows + i * stride` and spans `k` doubles. Exactly equivalent to
 /// OR-ing `Dominates(row_i, q)` over the `n` rows.
 bool AnyDominatesRows(const double* rows, size_t stride, size_t n, int k,

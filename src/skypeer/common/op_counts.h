@@ -9,9 +9,9 @@ namespace skypeer {
 
 /// \brief Machine-independent operation counts of a skyline computation.
 ///
-/// Every algorithmic layer (dominance kernels' call sites, R-tree
-/// traversal, f-sorted threshold scans, progressive merging, wire
-/// serialization) reports its work as counts of logical operations.
+/// Every algorithmic layer (dominance kernels' call sites, f-sorted
+/// threshold scans, progressive merging, wire serialization) reports its
+/// work as counts of logical operations.
 /// Counts are *logical*: a batched dominance test over a window of `n`
 /// candidates counts `n` dominance tests regardless of whether the
 /// scalar or the SIMD kernel executed it, so counts are bit-identical
@@ -20,9 +20,6 @@ namespace skypeer {
 struct OpCounts {
   /// Point-vs-point (or point-vs-window-entry) dominance tests.
   uint64_t dominance_tests = 0;
-  /// R-tree nodes entered during AnyDominates / EraseDominated / Insert
-  /// descents.
-  uint64_t rtree_node_visits = 0;
   /// Points consumed from an f-sorted list during a threshold scan.
   uint64_t scan_steps = 0;
   /// Heap pops performed while merging f-sorted skyline lists.
@@ -54,7 +51,6 @@ struct OpCounts {
 
   OpCounts& operator+=(const OpCounts& other) {
     dominance_tests += other.dominance_tests;
-    rtree_node_visits += other.rtree_node_visits;
     scan_steps += other.scan_steps;
     merge_pulls += other.merge_pulls;
     sort_steps += other.sort_steps;
@@ -73,7 +69,6 @@ struct OpCounts {
 
   friend bool operator==(const OpCounts& a, const OpCounts& b) {
     return a.dominance_tests == b.dominance_tests &&
-           a.rtree_node_visits == b.rtree_node_visits &&
            a.scan_steps == b.scan_steps && a.merge_pulls == b.merge_pulls &&
            a.sort_steps == b.sort_steps &&
            a.bytes_serialized == b.bytes_serialized &&
@@ -86,14 +81,13 @@ struct OpCounts {
   }
 
   uint64_t total() const {
-    return dominance_tests + rtree_node_visits + scan_steps + merge_pulls +
-           sort_steps + bytes_serialized + page_reads + page_bytes +
-           summary_tests + blocks_skipped;
+    return dominance_tests + scan_steps + merge_pulls + sort_steps +
+           bytes_serialized + page_reads + page_bytes + summary_tests +
+           blocks_skipped;
   }
 
   std::string ToString() const {
     return "dom=" + std::to_string(dominance_tests) +
-           " rtree=" + std::to_string(rtree_node_visits) +
            " scan=" + std::to_string(scan_steps) +
            " merge=" + std::to_string(merge_pulls) +
            " sort=" + std::to_string(sort_steps) +
@@ -105,8 +99,8 @@ struct OpCounts {
   }
 };
 
-/// Work units charged for comparison-sorting (or bulk-loading an R-tree
-/// over) `n` items: n * ceil(log2 n), 0 for n <= 1.
+/// Work units charged for comparison-sorting `n` items: n * ceil(log2 n),
+/// 0 for n <= 1.
 inline uint64_t SortCost(size_t n) {
   if (n <= 1) {
     return 0;

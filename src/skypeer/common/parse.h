@@ -35,7 +35,7 @@ inline long long ParseIntFlag(const char* flag, const char* text,
 }
 
 /// Parses `text` as a non-negative base-10 integer into the full uint64
-/// range (seeds, chunk sizes).
+/// range (seeds, sizes).
 inline uint64_t ParseU64Flag(const char* flag, const char* text) {
   errno = 0;
   char* end = nullptr;

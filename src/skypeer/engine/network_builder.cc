@@ -113,8 +113,15 @@ SkypeerNetwork::SkypeerNetwork(const NetworkConfig& config)
         std::make_shared<SubspaceScanTraceCache>(config_.cache_max_entries);
   }
   if (config_.buffer_pages > 0) {
-    buffer_ = std::make_unique<BufferManager>(config_.page_size,
-                                              config_.buffer_pages, pool());
+    // Without an owned pool the buffer manager prefetches on the global
+    // pool, which it looks up per prefetch: resizing the global pool
+    // frees the old one.
+    buffer_ = pool_ != nullptr
+                  ? std::make_unique<BufferManager>(
+                        config_.page_size, config_.buffer_pages, pool_)
+                  : std::make_unique<BufferManager>(
+                        config_.page_size, config_.buffer_pages,
+                        BufferManager::GlobalPool{});
   }
 
   const int num_sp = overlay_.num_super_peers();
@@ -122,7 +129,6 @@ SkypeerNetwork::SkypeerNetwork(const NetworkConfig& config)
   for (int i = 0; i < num_sp; ++i) {
     super_peers_.push_back(
         std::make_unique<SuperPeer>(i, config_.dims, config_.wire));
-    super_peers_.back()->set_thread_pool(pool_);
     super_peers_.back()->SetCostModel(config_.cost_model);
     super_peers_.back()->set_page_size(config_.page_size);
     super_peers_.back()->set_incremental_maintenance(
@@ -305,7 +311,6 @@ PreprocessStats SkypeerNetwork::Preprocess() {
   for (int sp = 0; sp < overlay_.num_super_peers(); ++sp) {
     super_peers_[sp]->set_retain_peer_lists(config_.dynamic_membership);
     super_peers_[sp]->set_enable_cache(config_.enable_cache);
-    super_peers_[sp]->set_scan_chunk_size(config_.scan_chunk_size);
     super_peers_[sp]->set_block_skip(config_.block_skip);
     super_peers_[sp]->set_filter_set_size(config_.filter_set_size);
     // The clustered workload has each super-peer pick a centroid; its
@@ -424,7 +429,6 @@ Status SkypeerNetwork::AdoptStores(std::vector<ResultList> stores) {
   }
   for (int sp = 0; sp < num_super_peers(); ++sp) {
     super_peers_[sp]->set_enable_cache(config_.enable_cache);
-    super_peers_[sp]->set_scan_chunk_size(config_.scan_chunk_size);
     super_peers_[sp]->set_block_skip(config_.block_skip);
     super_peers_[sp]->set_filter_set_size(config_.filter_set_size);
     super_peers_[sp]->SetStore(std::move(stores[sp]));
@@ -764,9 +768,6 @@ std::unique_ptr<SkypeerNetwork> SkypeerNetwork::CloneForQueries() const {
   config.threads = 0;
   auto clone = std::make_unique<SkypeerNetwork>(config);
   clone->pool_ = pool_;
-  for (auto& sp : clone->super_peers_) {
-    sp->set_thread_pool(pool_);
-  }
   std::vector<ResultList> stores;
   stores.reserve(super_peers_.size());
   for (const auto& sp : super_peers_) {

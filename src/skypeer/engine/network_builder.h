@@ -112,14 +112,6 @@ struct NetworkConfig {
   /// counts included) are bit-identical to the in-memory default (0);
   /// only physical pool statistics (hits/misses/evictions) differ.
   size_t buffer_pages = 0;
-  /// Chunk size of the chunked parallel threshold scan at super-peers
-  /// (`ParallelSortedSkyline`): local scans over stores larger than one
-  /// chunk split into contiguous chunks executed on the global thread
-  /// pool and merged. 0 keeps Algorithm 1 sequential. Results, simulated
-  /// times, volume and messages are identical either way; only
-  /// `store_points_scanned` may differ from the sequential scan's count
-  /// (deterministically, for a fixed chunk size).
-  size_t scan_chunk_size = 0;
   /// Zone-map block skipping in every super-peer's threshold scans (see
   /// `ThresholdScanOptions::block_skip`): 8-wide store blocks whose
   /// summary min-vector is dominated by the live scan window are consumed
@@ -154,7 +146,7 @@ struct NetworkConfig {
   /// initiator computes anything to sample from).
   size_t filter_set_size = 0;
   /// Worker threads scoped to this network: staging waves, preprocessing
-  /// and chunked scans of this instance run on a private pool of this
+  /// and store read-ahead of this instance run on a private pool of this
   /// size instead of the process-wide `ThreadPool::Global()`. 0 (default)
   /// keeps using the global pool; 1 forces this network sequential
   /// regardless of the global setting. Replica clones share the parent's

@@ -37,6 +37,21 @@ bool ReadU64(std::FILE* file, uint64_t* value) {
   return std::fread(value, sizeof(*value), 1, file) == 1;
 }
 
+/// Bytes between the read position of `file` and its end; false when the
+/// file is not seekable.
+bool BytesLeft(std::FILE* file, uint64_t* left) {
+  const long position = std::ftell(file);
+  if (position < 0 || std::fseek(file, 0, SEEK_END) != 0) {
+    return false;
+  }
+  const long end = std::ftell(file);
+  if (end < position || std::fseek(file, position, SEEK_SET) != 0) {
+    return false;
+  }
+  *left = static_cast<uint64_t>(end - position);
+  return true;
+}
+
 }  // namespace
 
 Status SaveStores(const SkypeerNetwork& network, const std::string& path) {
@@ -97,7 +112,9 @@ Status LoadStores(SkypeerNetwork* network, const std::string& path) {
   stores.reserve(num_super_peers);
   for (uint32_t sp = 0; sp < num_super_peers; ++sp) {
     uint64_t encoded_size = 0;
-    if (!ReadU64(file.get(), &encoded_size)) {
+    uint64_t left = 0;
+    if (!ReadU64(file.get(), &encoded_size) ||
+        !BytesLeft(file.get(), &left) || encoded_size > left) {
       return Status::InvalidArgument("truncated snapshot");
     }
     std::vector<uint8_t> encoded(encoded_size);

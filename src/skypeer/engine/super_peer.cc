@@ -856,9 +856,7 @@ void SuperPeer::RunLocalScan(const Subspace& subspace, Variant variant,
     // order. The filter fingerprint is part of the key: a filtered scan's
     // accept/evict events differ from an unfiltered one's, so replaying
     // across filter configurations would be exactly the PR 3 class of
-    // cache inexactness. The fill must be the sequential scan — a chunked
-    // scan cannot produce the sequential event order — so
-    // `scan_chunk_size_` does not apply here.
+    // cache inexactness.
     const auto start = std::chrono::steady_clock::now();
     if (cache_ == nullptr) {
       cache_ = std::make_shared<SubspaceScanTraceCache>();
@@ -897,18 +895,12 @@ void SuperPeer::RunLocalScan(const Subspace& subspace, Variant variant,
   options.block_skip = block_skip_;
   options.filter = filter;
   ThresholdScanStats stats;
-  // Bit-identical to the sequential scan; chunk size 0 or a store no
-  // larger than one chunk runs sequentially.
   *local = std::make_shared<const ResultList>(
-      ParallelSortedSkyline(view, subspace, scan_chunk_size_, options,
-                            &stats, pool_));
+      SortedSkyline(view, subspace, options, &stats));
   // The scan threshold only ever tightens; RT*M forwards this value.
   *threshold_out = stats.final_threshold;
   *scanned = stats.scanned;
   *ops = stats.ops;
-  // Per-chunk work summed across the executing threads — unlike the wall
-  // time of this call it contains no pool queueing, so an 8-thread run is
-  // charged the same work as a 1-thread run of the same chunking.
   *cpu_s = stats.cpu_seconds;
 }
 
@@ -952,14 +944,8 @@ void SuperPeer::StageSpeculativeScan(const Subspace& subspace, Variant variant,
   staged.threshold_in = fixed_threshold;
   staged.filter_fp = filter != nullptr ? FilterFingerprint(*filter) : 0;
   staged.speculative = true;
-  const StoreView view = View();
-  // Mirrors ParallelSortedSkyline's sequential fallback, including the
-  // page-snapped chunk size, so "sequential" is decided identically here
-  // and inside the scan.
-  const size_t chunk = SnapChunkToPages(view.layout(), scan_chunk_size_);
-  if (variant != Variant::kNaive && !cache_enabled_ &&
-      (chunk == 0 || view.size() <= chunk)) {
-    // Sequential scan: record the event trace so the reconcile can replay
+  if (!cache_enabled_) {
+    // Plain scan: record the event trace so the reconcile can replay
     // the scan under the refined threshold without any dominance test.
     // The filter seeds are baked into the recorded events; the staged
     // fingerprint guards the match.
@@ -969,7 +955,7 @@ void SuperPeer::StageSpeculativeScan(const Subspace& subspace, Variant variant,
     options.filter = filter.get();
     ThresholdScanStats stats;
     staged.local = std::make_shared<const ResultList>(TracedSortedSkyline(
-        view, subspace, options, &stats, &staged.trace));
+        View(), subspace, options, &stats, &staged.trace));
     staged.threshold_out = stats.final_threshold;
     staged.scanned = stats.scanned;
     staged.ops = stats.ops;
@@ -979,10 +965,6 @@ void SuperPeer::StageSpeculativeScan(const Subspace& subspace, Variant variant,
     // Cache path: the scan warms the shared trace cache (a pure function
     // of the store and filter, so identical to what the protocol run
     // would insert) and the reconcile replays it at the refined value.
-    // Chunked path: per-chunk threshold seeds depend on the initial
-    // threshold, so the staged result is only valid on an exact match
-    // (hop-1 RT*M nodes, which receive precisely the initiator's
-    // threshold); deeper nodes rerun inline.
     RunLocalScan(subspace, variant, fixed_threshold, filter.get(),
                  staged.filter_fp, &staged.local, &staged.threshold_out,
                  &staged.scanned, &staged.ops, &staged.cpu_s);
@@ -1049,7 +1031,7 @@ void SuperPeer::ComputeLocal(sim::Simulator* simulator, QueryState* state) {
       ChargeOps(simulator, stats.ops, SecondsSince(start));
       return;
     }
-    if (cache_enabled_ && state->variant != Variant::kNaive) {
+    if (cache_enabled_) {
       // The speculative scan warmed the trace cache; replaying it under
       // the refined threshold is exactly the sequential cache-hit path.
       if (measure_cpu_ && !cost_.counted()) {
@@ -1064,8 +1046,6 @@ void SuperPeer::ComputeLocal(sim::Simulator* simulator, QueryState* state) {
       ChargeOps(simulator, ops, cpu_s);
       return;
     }
-    // Chunked speculative scan under a strictly looser threshold: the
-    // per-chunk seeds would differ, so fall through to the inline rerun.
   }
   staged_.reset();
   OpCounts ops;

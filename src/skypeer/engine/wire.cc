@@ -30,11 +30,13 @@ bool Get(const uint8_t* data, size_t size, size_t* offset, T* value) {
   return true;
 }
 
+/// Per point: k projected coordinates + f + id, 8 bytes each.
+size_t PointBytes(int k) { return (static_cast<size_t>(k) + 1) * 8 + 8; }
+
 }  // namespace
 
 size_t EncodedListBytes(int k, size_t n) {
-  // Per point: k projected coordinates + f + id, 8 bytes each.
-  return kHeaderBytes + n * ((static_cast<size_t>(k) + 1) * 8 + 8);
+  return kHeaderBytes + n * PointBytes(k);
 }
 
 std::vector<uint8_t> EncodeResultList(const ResultList& list, Subspace u) {
@@ -75,7 +77,10 @@ Status DecodeResultList(const uint8_t* data, size_t size, WireList* out) {
   }
   const Subspace u(mask);
   const int k = u.Count();
-  if (size != EncodedListBytes(k, count)) {
+  // Bound the count by the bytes present before any arithmetic on it: a
+  // forged count can wrap `EncodedListBytes` around to `size`.
+  if (count > (size - kHeaderBytes) / PointBytes(k) ||
+      size != EncodedListBytes(k, count)) {
     return Status::InvalidArgument("size does not match header");
   }
   out->subspace = u;

@@ -10,8 +10,8 @@
 namespace skypeer {
 
 BufferManager::BufferManager(size_t page_size, size_t num_frames,
-                             ThreadPool* prefetch_pool)
-    : page_size_(page_size), pool_(prefetch_pool) {
+                             ThreadPool* prefetch_pool, bool global_pool)
+    : page_size_(page_size), pool_(prefetch_pool), global_pool_(global_pool) {
   SKYPEER_CHECK(page_size_ > 0);
   SKYPEER_CHECK(num_frames >= 2);
   frames_.resize(num_frames);
@@ -22,6 +22,17 @@ BufferManager::BufferManager(size_t page_size, size_t num_frames,
   SKYPEER_CHECK(file_ != nullptr);
   fd_ = fileno(file_);
   SKYPEER_CHECK(fd_ >= 0);
+}
+
+BufferManager::BufferManager(size_t page_size, size_t num_frames,
+                             ThreadPool* prefetch_pool)
+    : BufferManager(page_size, num_frames, prefetch_pool, false) {}
+
+BufferManager::BufferManager(size_t page_size, size_t num_frames, GlobalPool)
+    : BufferManager(page_size, num_frames, nullptr, true) {}
+
+ThreadPool* BufferManager::PrefetchPool() const {
+  return global_pool_ ? ThreadPool::Global() : pool_;
 }
 
 BufferManager::~BufferManager() {
@@ -196,7 +207,8 @@ void BufferManager::Unpin(uint64_t page_id) {
 }
 
 void BufferManager::Prefetch(uint64_t page_id) {
-  if (pool_ == nullptr) {
+  ThreadPool* const pool = PrefetchPool();
+  if (pool == nullptr) {
     return;
   }
   size_t victim;
@@ -222,7 +234,7 @@ void BufferManager::Prefetch(uint64_t page_id) {
     ++stats_.prefetches_issued;
     ++outstanding_prefetches_;
   }
-  pool_->Submit([this, page_id, victim] {
+  pool->Submit([this, page_id, victim] {
     uint64_t offset = 0;
     bool run = false;
     {

@@ -48,6 +48,14 @@ class BufferManager {
   /// disabled) must outlive the manager.
   BufferManager(size_t page_size, size_t num_frames,
                 ThreadPool* prefetch_pool = nullptr);
+
+  /// Tag selecting `ThreadPool::Global()` as the prefetch pool.
+  struct GlobalPool {};
+
+  /// As above, but prefetching on the process-global pool, resolved at
+  /// every `Prefetch` call: `ThreadPool::SetGlobalConcurrency` replaces
+  /// (frees) the global pool, so the manager must never hold on to it.
+  BufferManager(size_t page_size, size_t num_frames, GlobalPool);
   ~BufferManager();
 
   BufferManager(const BufferManager&) = delete;
@@ -83,6 +91,9 @@ class BufferManager {
  private:
   enum class FrameState : uint8_t { kEmpty, kQueued, kLoading, kReady };
 
+  BufferManager(size_t page_size, size_t num_frames,
+                ThreadPool* prefetch_pool, bool global_pool);
+
   struct Frame {
     uint64_t page_id = kNoPage;
     int pin_count = 0;
@@ -102,9 +113,12 @@ class BufferManager {
   void EvictLocked(size_t frame_index);
   void ReadAt(uint64_t offset, std::byte* out) const;
   void WriteAt(uint64_t offset, const void* bytes) const;
+  /// The pool `Prefetch` submits to, or null when prefetch is disabled.
+  ThreadPool* PrefetchPool() const;
 
   const size_t page_size_;
   ThreadPool* const pool_;
+  const bool global_pool_;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;

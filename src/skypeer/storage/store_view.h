@@ -17,10 +17,10 @@ namespace skypeer {
 /// (`ResultList`) or paged (`PagedStore`).
 ///
 /// The view is a cheap immutable descriptor; per-scan state (the pinned
-/// frame, the gathered row) lives in `StoreCursor`, so concurrent chunk
-/// scans each open their own cursor. Both modes carry a `PageLayout`:
-/// logical page charges and page-snapped chunking derive from the layout
-/// alone, which keeps paged and in-memory runs bit-identical.
+/// frame, the gathered row) lives in `StoreCursor`, so concurrent scans
+/// each open their own cursor. Both modes carry a `PageLayout`: logical
+/// page charges derive from the layout alone, which keeps paged and
+/// in-memory runs bit-identical.
 class StoreView {
  public:
   /// View over a resident list; `page_size` fixes the logical page

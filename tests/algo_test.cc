@@ -20,7 +20,6 @@
 #include "skypeer/algo/sorted_skyline.h"
 #include "skypeer/common/dominance.h"
 #include "skypeer/common/rng.h"
-#include "skypeer/common/thread_pool.h"
 #include "skypeer/data/generator.h"
 
 namespace skypeer {
@@ -207,18 +206,48 @@ TEST(SkylineAccumulator, ThresholdMonotonicallyDecreases) {
   }
 }
 
-TEST(SkylineAccumulator, LinearAndRTreeAgree) {
-  for (int dims : {2, 3, 5}) {
-    PointSet data = MakeData(Distribution::kUniform, dims, 500, 11 * dims);
-    ResultList sorted = BuildSortedByF(data);
-    Subspace u = Subspace::FullSpace(dims);
-    ThresholdScanOptions with_tree;
-    with_tree.use_rtree = true;
-    ThresholdScanOptions without_tree;
-    without_tree.use_rtree = false;
-    EXPECT_EQ(SortedIds(SortedSkyline(sorted, u, with_tree).points),
-              SortedIds(SortedSkyline(sorted, u, without_tree).points));
+TEST(SkylineAccumulator, ScanMatchesBnlAndSfsOracles) {
+  for (Distribution distribution :
+       {Distribution::kUniform, Distribution::kAnticorrelated}) {
+    for (int dims : {2, 3, 5}) {
+      const PointSet data = MakeData(distribution, dims, 500, 11 * dims);
+      const ResultList sorted = BuildSortedByF(data);
+      std::vector<Subspace> subspaces = {Subspace::FullSpace(dims)};
+      if (dims >= 3) {
+        subspaces.push_back(Subspace::FromDims({0, 2}));
+      }
+      for (Subspace u : subspaces) {
+        for (bool ext : {false, true}) {
+          ThresholdScanOptions options;
+          options.ext = ext;
+          const std::vector<PointId> scanned =
+              SortedIds(SortedSkyline(sorted, u, options).points);
+          const std::string context =
+              std::string(DistributionName(distribution)) + " d" +
+              std::to_string(dims) + " u=" + u.ToString() +
+              (ext ? " ext" : "");
+          EXPECT_EQ(scanned, SortedIds(BnlSkyline(data, u, ext))) << context;
+          EXPECT_EQ(scanned, SortedIds(SfsSkyline(data, u, ext))) << context;
+        }
+      }
+    }
   }
+}
+
+TEST(SkylineAccumulator, LargeAnticorrelatedWindowMatchesOracles) {
+  // More than a thousand live window entries, so compaction and
+  // eviction run many times over on a large window.
+  const int dims = 6;
+  const PointSet data = MakeData(Distribution::kAnticorrelated, dims, 6000, 61);
+  const ResultList sorted = BuildSortedByF(data);
+  const Subspace u = Subspace::FullSpace(dims);
+  ThresholdScanStats stats;
+  const ResultList result = SortedSkyline(sorted, u, {}, &stats);
+  ASSERT_GT(result.size(), 1000u);
+  EXPECT_TRUE(result.IsSorted());
+  const std::vector<PointId> scanned = SortedIds(result.points);
+  EXPECT_EQ(scanned, SortedIds(BnlSkyline(data, u)));
+  EXPECT_EQ(scanned, SortedIds(SfsSkyline(data, u)));
 }
 
 TEST(SkylineAccumulator, TakeResultResetsState) {
@@ -370,22 +399,19 @@ TEST(SkylineAccumulator, CompactionKeepsResultsUnchanged) {
   const PointSet data = EvictionHeavyData(300);
   const ResultList sorted = BuildSortedByF(data);
   const Subspace u = Subspace::FromDims({0});
-  for (bool use_rtree : {false, true}) {
-    for (bool ext : {false, true}) {
-      ThresholdScanOptions options;
-      options.use_rtree = use_rtree;
-      options.ext = ext;
-      const ResultList result = SortedSkyline(sorted, u, options);
-      EXPECT_EQ(SortedIds(result.points), ReferenceSkyline(data, u, ext))
-          << "rtree=" << use_rtree << " ext=" << ext;
-    }
+  for (bool ext : {false, true}) {
+    ThresholdScanOptions options;
+    options.ext = ext;
+    const ResultList result = SortedSkyline(sorted, u, options);
+    EXPECT_EQ(SortedIds(result.points), ReferenceSkyline(data, u, ext))
+        << "ext=" << ext;
   }
 }
 
 TEST(SkylineAccumulator, CompactionWithInterleavedSurvivors) {
   // Mix the evicting sequence with incomparable survivors so compaction
-  // must preserve several alive entries, their f-order and the R-tree
-  // payload renumbering, not just a single point.
+  // must preserve several alive entries and their f-order, not just a
+  // single point.
   Rng rng(91);
   PointSet data(3);
   PointId id = 0;
@@ -399,14 +425,10 @@ TEST(SkylineAccumulator, CompactionWithInterleavedSurvivors) {
   const ResultList sorted = BuildSortedByF(data);
   for (Subspace u : {Subspace::FromDims({0}), Subspace::FromDims({0, 2}),
                      Subspace::FullSpace(3)}) {
-    for (bool use_rtree : {false, true}) {
-      ThresholdScanOptions options;
-      options.use_rtree = use_rtree;
-      const ResultList result = SortedSkyline(sorted, u, options);
-      EXPECT_EQ(SortedIds(result.points), ReferenceSkyline(data, u, false))
-          << "u=" << u.ToString() << " rtree=" << use_rtree;
-      EXPECT_TRUE(result.IsSorted());
-    }
+    const ResultList result = SortedSkyline(sorted, u);
+    EXPECT_EQ(SortedIds(result.points), ReferenceSkyline(data, u, false))
+        << "u=" << u.ToString();
+    EXPECT_TRUE(result.IsSorted());
   }
 }
 
@@ -462,7 +484,7 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<3>(info.param) ? "_ext" : "_sky");
     });
 
-// --- chunked parallel scan ----------------------------------------------
+// --- traced scans ---------------------------------------------------------
 
 /// Full-content equality: ids, f and coordinates in list order.
 void ExpectSameList(const ResultList& actual, const ResultList& expected,
@@ -475,92 +497,6 @@ void ExpectSameList(const ResultList& actual, const ResultList& expected,
       EXPECT_EQ(actual.points[i][d], expected.points[i][d]) << context;
     }
   }
-}
-
-TEST(ParallelSortedSkyline, BitIdenticalToSequentialScan) {
-  ThreadPool pool(4);
-  for (Distribution distribution :
-       {Distribution::kUniform, Distribution::kAnticorrelated,
-        Distribution::kCorrelated}) {
-    for (int dims : {2, 4, 6}) {
-      const PointSet data =
-          MakeData(distribution, dims, 600, 131 * dims + 7);
-      const ResultList sorted = BuildSortedByF(data);
-      std::vector<Subspace> subspaces = {Subspace::FullSpace(dims),
-                                         Subspace::FromDims({0})};
-      if (dims >= 3) {
-        subspaces.push_back(Subspace::FromDims({1, 2}));
-      }
-      for (Subspace u : subspaces) {
-        for (bool ext : {false, true}) {
-          for (bool use_rtree : {false, true}) {
-            ThresholdScanOptions options;
-            options.ext = ext;
-            options.use_rtree = use_rtree;
-            ThresholdScanStats seq_stats;
-            const ResultList reference =
-                SortedSkyline(sorted, u, options, &seq_stats);
-            for (size_t chunk : {size_t{1}, size_t{7}, size_t{64},
-                                 size_t{599}, size_t{4096}}) {
-              const std::string context =
-                  std::string(DistributionName(distribution)) + " d" +
-                  std::to_string(dims) + " u=" + u.ToString() +
-                  (ext ? " ext" : "") + (use_rtree ? " rtree" : " linear") +
-                  " chunk=" + std::to_string(chunk);
-              ThresholdScanStats par_stats;
-              const ResultList chunked = ParallelSortedSkyline(
-                  sorted, u, chunk, options, &par_stats, &pool);
-              ExpectSameList(chunked, reference, context);
-              EXPECT_EQ(par_stats.final_threshold, seq_stats.final_threshold)
-                  << context;
-              // The sum of per-chunk scans can only see *more* of the
-              // input than the sequential scan's single prefix.
-              EXPECT_GE(par_stats.scanned, seq_stats.scanned) << context;
-              EXPECT_LE(par_stats.scanned, sorted.size()) << context;
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(ParallelSortedSkyline, RespectsInitialThreshold) {
-  ThreadPool pool(3);
-  const PointSet data = MakeData(Distribution::kUniform, 4, 500, 77);
-  const ResultList sorted = BuildSortedByF(data);
-  const Subspace u = Subspace::FromDims({0, 2});
-  for (double threshold : {0.05, 0.3, 0.8}) {
-    ThresholdScanOptions options;
-    options.initial_threshold = threshold;
-    ThresholdScanStats seq_stats;
-    const ResultList reference = SortedSkyline(sorted, u, options, &seq_stats);
-    ThresholdScanStats par_stats;
-    const ResultList chunked =
-        ParallelSortedSkyline(sorted, u, 32, options, &par_stats, &pool);
-    ExpectSameList(chunked, reference,
-                   "threshold=" + std::to_string(threshold));
-    EXPECT_EQ(par_stats.final_threshold, seq_stats.final_threshold);
-  }
-}
-
-TEST(ParallelSortedSkyline, ScanCountIsThreadCountInvariant) {
-  // The chunk seeds depend only on the input, so `scanned` must be
-  // reproducible at any pool size for a fixed chunk size.
-  const PointSet data = MakeData(Distribution::kAnticorrelated, 5, 800, 13);
-  const ResultList sorted = BuildSortedByF(data);
-  const Subspace u = Subspace::FromDims({0, 1, 3});
-  std::vector<size_t> counts;
-  for (int threads : {1, 2, 8}) {
-    ThreadPool pool(threads);
-    ThresholdScanStats stats;
-    const ResultList result =
-        ParallelSortedSkyline(sorted, u, 50, {}, &stats, &pool);
-    EXPECT_FALSE(result.empty());
-    counts.push_back(stats.scanned);
-  }
-  EXPECT_EQ(counts[0], counts[1]);
-  EXPECT_EQ(counts[0], counts[2]);
 }
 
 TEST(TracedSortedSkyline, RecordingMatchesPlainScan) {
@@ -659,22 +595,6 @@ TEST(ReplayScanTrace, TraceRecordedUnderFiniteThresholdReplays) {
     EXPECT_EQ(replay_stats.scanned, seq_stats.scanned);
     EXPECT_EQ(replay_stats.final_threshold, seq_stats.final_threshold);
   }
-}
-
-TEST(ParallelSortedSkyline, EmptyAndTinyInputs) {
-  ThreadPool pool(2);
-  const ResultList empty(3);
-  const ResultList result =
-      ParallelSortedSkyline(empty, Subspace::FullSpace(3), 16, {}, nullptr,
-                            &pool);
-  EXPECT_TRUE(result.empty());
-
-  const PointSet one(2, {{0.4, 0.6}});
-  const ResultList single = BuildSortedByF(one);
-  ExpectSameList(
-      ParallelSortedSkyline(single, Subspace::FullSpace(2), 1, {}, nullptr,
-                            &pool),
-      SortedSkyline(single, Subspace::FullSpace(2)), "single point");
 }
 
 // Ties are where skyline algorithms usually break: duplicate coordinates

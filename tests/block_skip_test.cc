@@ -8,19 +8,23 @@
 // seeds, page sizes and both store modes, and asserts identical
 // skylines, scan counts, final thresholds and window evolution
 // (recorded traces), plus bit-identical op counts across store modes
-// and kernels. Replays of skip traces must reproduce the direct scan
-// under any tighter threshold, and chunked scans must stay
-// thread-count invariant — the properties the speculative-RT path
-// depends on.
+// and kernels, and checks unconstrained scans against the BNL and SFS
+// oracles. Replays of skip traces must reproduce the direct scan under
+// any tighter threshold — the property the speculative-RT path depends
+// on.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "skypeer/algo/bnl.h"
 #include "skypeer/algo/filter_set.h"
 #include "skypeer/algo/result_list.h"
+#include "skypeer/algo/sfs.h"
 #include "skypeer/algo/sorted_skyline.h"
 #include "skypeer/common/dominance_batch.h"
 #include "skypeer/common/rng.h"
@@ -35,14 +39,12 @@
 namespace skypeer {
 namespace {
 
-// --- satellite: chunk/block alignment ---------------------------------------
+// --- page/block alignment ----------------------------------------------------
 
-TEST(BlockSkipAlignment, PagesHoldWholeBlocksAndChunksSnapToBlocks) {
+TEST(BlockSkipAlignment, PagesHoldWholeBlocks) {
   // The skip-aware cursor and the summary index both assume a store
-  // block never straddles a page and a parallel chunk never splits a
-  // block. Both hold by construction: pages hold whole blocks
-  // (`PageLayout::points_per_page`) and `SnapChunkToPages` rounds
-  // chunks up to whole pages.
+  // block never straddles a page. That holds by construction: pages
+  // hold whole blocks (`PageLayout::points_per_page`).
   for (int dims = 1; dims <= 16; ++dims) {
     for (size_t page_size : {1024u, 2048u, 4096u, 8192u, 65536u}) {
       const size_t bytes_per_block =
@@ -53,11 +55,6 @@ TEST(BlockSkipAlignment, PagesHoldWholeBlocksAndChunksSnapToBlocks) {
       const PageLayout layout(page_size, dims);
       EXPECT_EQ(layout.points_per_page() % kDomBlockWidth, 0u)
           << "dims=" << dims << " page_size=" << page_size;
-      for (size_t chunk : {1u, 7u, 8u, 63u, 100u, 1024u}) {
-        EXPECT_EQ(SnapChunkToPages(layout, chunk) % kDomBlockWidth, 0u)
-            << "dims=" << dims << " page_size=" << page_size
-            << " chunk=" << chunk;
-      }
     }
   }
 }
@@ -97,6 +94,21 @@ void ExpectSameResult(const ResultList& a, const ResultList& b,
   }
 }
 
+std::vector<PointId> SortedIds(const PointSet& points) {
+  std::vector<PointId> ids = points.Ids();
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+/// An unconstrained, unfiltered scan of `store` is its (extended)
+/// skyline on `u`: the BNL and SFS oracles must find the same points.
+void ExpectMatchesOracles(const ResultList& scanned, const ResultList& store,
+                          Subspace u, bool ext, const std::string& context) {
+  const std::vector<PointId> ids = SortedIds(scanned.points);
+  EXPECT_EQ(ids, SortedIds(BnlSkyline(store.points, u, ext))) << context;
+  EXPECT_EQ(ids, SortedIds(SfsSkyline(store.points, u, ext))) << context;
+}
+
 TEST(BlockSkipProperty, RandomizedScanEquivalence) {
   Rng rng(20260808);
   for (int trial = 0; trial < 30; ++trial) {
@@ -113,7 +125,6 @@ TEST(BlockSkipProperty, RandomizedScanEquivalence) {
     const Subspace u = RandomSubspace(dims, &rng);
     ThresholdScanOptions plain_options;
     plain_options.ext = rng.Uniform() < 0.3;
-    plain_options.use_rtree = rng.Uniform() < 0.5;
 
     // Sometimes seed the window with a broadcast filter set from a
     // disjoint list, sometimes constrain the initial threshold.
@@ -153,6 +164,10 @@ TEST(BlockSkipProperty, RandomizedScanEquivalence) {
     EXPECT_EQ(plain_trace.evicted_at, skip_trace.evicted_at) << context;
     EXPECT_FALSE(plain_trace.block_skip) << context;
     EXPECT_TRUE(skip_trace.block_skip) << context;
+    if (plain_options.filter == nullptr &&
+        std::isinf(plain_options.initial_threshold)) {
+      ExpectMatchesOracles(skip, sorted, u, plain_options.ext, context);
+    }
 
     // Op counts: a plain scan never charges the skip counters, and
     // skipping only ever removes per-point work.
@@ -229,11 +244,13 @@ TEST(BlockSkipProperty, ReplayMatchesDirectScanUnderTighterThresholds) {
     const Subspace u = RandomSubspace(dims, &rng);
 
     ThresholdScanOptions options;
-    options.use_rtree = rng.Uniform() < 0.5;
     options.block_skip = true;
     ThresholdScanStats recorded_stats;
     ScanTrace trace;
-    TracedSortedSkyline(view, u, options, &recorded_stats, &trace);
+    const ResultList recorded =
+        TracedSortedSkyline(view, u, options, &recorded_stats, &trace);
+    ExpectMatchesOracles(recorded, sorted, u, /*ext=*/false,
+                         "trial " + std::to_string(trial));
 
     for (int probe = 0; probe < 6; ++probe) {
       const double tighter =
@@ -255,49 +272,6 @@ TEST(BlockSkipProperty, ReplayMatchesDirectScanUnderTighterThresholds) {
       EXPECT_TRUE(direct_stats.ops == replay_stats.ops)
           << context << "\n  direct: " << direct_stats.ops.ToString()
           << "\n  replay: " << replay_stats.ops.ToString();
-    }
-  }
-}
-
-// --- chunked scans -----------------------------------------------------------
-
-TEST(BlockSkipProperty, ChunkedMatchesSequentialResultAndIsThreadInvariant) {
-  Rng rng(11);
-  const int dims = 5;
-  const ResultList sorted =
-      BuildSortedByF(GenerateCorrelated(dims, 3000, &rng));
-  const PageLayout layout(1024, dims);
-  const StoreSummary summary = StoreSummary::Build(sorted, layout);
-  const StoreView view(&sorted, 1024, &summary);
-
-  for (const Subspace u :
-       {Subspace::FromDims({0, 3}), Subspace::FullSpace(dims)}) {
-    ThresholdScanOptions options;
-    options.block_skip = true;
-    ThresholdScanStats seq_stats;
-    const ResultList seq = SortedSkyline(view, u, options, &seq_stats);
-
-    for (size_t chunk : {64u, 256u}) {
-      ThreadPool::SetGlobalConcurrency(1);
-      ThresholdScanStats one_stats;
-      const ResultList one =
-          ParallelSortedSkyline(view, u, chunk, options, &one_stats);
-      ThreadPool::SetGlobalConcurrency(8);
-      ThresholdScanStats eight_stats;
-      const ResultList eight =
-          ParallelSortedSkyline(view, u, chunk, options, &eight_stats);
-      ThreadPool::SetGlobalConcurrency(1);
-
-      const std::string context = "chunk " + std::to_string(chunk);
-      // Chunked result identical to sequential; chunked op counts are
-      // their own deterministic quantity, identical across thread
-      // counts.
-      ExpectSameResult(seq, one, context);
-      ExpectSameResult(seq, eight, context);
-      EXPECT_EQ(one_stats.scanned, eight_stats.scanned) << context;
-      EXPECT_TRUE(one_stats.ops == eight_stats.ops)
-          << context << "\n  t1: " << one_stats.ops.ToString()
-          << "\n  t8: " << eight_stats.ops.ToString();
     }
   }
 }

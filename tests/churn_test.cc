@@ -165,15 +165,11 @@ TEST(Churn, DrainAllPeersOfOneSuperPeer) {
   ExpectAllVariantsExact(&network, Subspace::FromDims({0, 3}));
 }
 
-TEST(Churn, DrainedSuperPeerStillAnswersWithChunkedScans) {
+TEST(Churn, DrainedSuperPeerStillAnswersAndInitiates) {
   // Regression: rebuilding a store from zero retained lists used to trip
   // `SKYPEER_CHECK(dims > 0)` inside MergeSortedSkylines (no dims
-  // source). The drained super-peer must keep serving exact answers —
-  // here additionally with the chunked parallel scan path enabled at the
-  // surviving super-peers.
-  NetworkConfig config = DynamicConfig(11);
-  config.scan_chunk_size = 16;
-  SkypeerNetwork network(config);
+  // source). The drained super-peer must keep serving exact answers.
+  SkypeerNetwork network(DynamicConfig(11));
   network.Preprocess();
   const std::vector<int> victims = network.overlay().super_peer_peers[3];
   ASSERT_FALSE(victims.empty());

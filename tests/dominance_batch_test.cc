@@ -9,6 +9,8 @@
 #include <cmath>
 #include <vector>
 
+#include "skypeer/algo/bnl.h"
+#include "skypeer/algo/sfs.h"
 #include "skypeer/algo/sorted_skyline.h"
 #include "skypeer/common/dominance.h"
 #include "skypeer/common/dominance_batch.h"
@@ -203,33 +205,36 @@ TEST(KernelDispatchTest, ForceScalarPinsTheMode) {
 // A pathological evict-heavy stream — every offer dominates and evicts the
 // previous survivor, so one point is alive while the window accretes dead
 // slots — must stay bounded by the compaction policy, including a custom
-// tighter `compact_min_window`.
+// tighter `compact_min_window`. The survivor must be the one the BNL and
+// SFS oracles find in the offered stream.
 TEST(AccumulatorCompactionTest, EvictHeavyStreamKeepsWindowBounded) {
-  for (bool use_rtree : {false, true}) {
-    for (size_t min_window : {size_t{64}, size_t{16}}) {
-      ThresholdScanOptions options;
-      options.use_rtree = use_rtree;
-      options.compact_min_window = min_window;
-      SkylineAccumulator accumulator(2, Subspace::FullSpace(2), options);
-      size_t max_window = 0;
-      const size_t kOffers = 4000;
-      for (size_t i = 0; i < kOffers; ++i) {
-        // Constant first coordinate keeps f = min coord non-decreasing;
-        // the strictly shrinking second coordinate means each point
-        // dominates (and evicts) its predecessor.
-        const double p[2] = {0.25, 1.0 - static_cast<double>(i) / 8000.0};
-        EXPECT_TRUE(accumulator.Offer(p, i, 0.25));
-        max_window = std::max(max_window, accumulator.window_size());
-        EXPECT_EQ(accumulator.alive(), 1u);
-      }
-      // alive == 1 < fraction * size triggers compaction as soon as the
-      // window reaches `min_window`, so it can never exceed it.
-      EXPECT_LE(max_window, min_window)
-          << "use_rtree=" << use_rtree << " min_window=" << min_window;
-      ResultList result = accumulator.TakeResult();
-      ASSERT_EQ(result.size(), 1u);
-      EXPECT_EQ(result.points.id(0), kOffers - 1);
+  const size_t kOffers = 4000;
+  PointSet offered(2);
+  for (size_t i = 0; i < kOffers; ++i) {
+    // Constant first coordinate keeps f = min coord non-decreasing; the
+    // strictly shrinking second coordinate means each point dominates
+    // (and evicts) its predecessor.
+    const double p[2] = {0.25, 1.0 - static_cast<double>(i) / 8000.0};
+    offered.Append(p, i);
+  }
+  const Subspace u = Subspace::FullSpace(2);
+  const std::vector<PointId> bnl = BnlSkyline(offered, u).Ids();
+  ASSERT_EQ(bnl, SfsSkyline(offered, u).Ids());
+  for (size_t min_window : {size_t{64}, size_t{16}}) {
+    ThresholdScanOptions options;
+    options.compact_min_window = min_window;
+    SkylineAccumulator accumulator(2, u, options);
+    size_t max_window = 0;
+    for (size_t i = 0; i < kOffers; ++i) {
+      EXPECT_TRUE(accumulator.Offer(offered[i], i, 0.25));
+      max_window = std::max(max_window, accumulator.window_size());
+      EXPECT_EQ(accumulator.alive(), 1u);
     }
+    // alive == 1 < fraction * size triggers compaction as soon as the
+    // window reaches `min_window`, so it can never exceed it.
+    EXPECT_LE(max_window, min_window) << "min_window=" << min_window;
+    ResultList result = accumulator.TakeResult();
+    EXPECT_EQ(result.points.Ids(), bnl);
   }
 }
 
@@ -259,35 +264,40 @@ TEST(AccumulatorCompactionTest, PolicyDoesNotChangeResults) {
 }
 
 // End-to-end scan bit-identity between the forced-scalar and dispatched
-// kernels, on both the linear-window and the R-tree paths.
+// kernels, and agreement of both with the BNL and SFS oracles.
 TEST(KernelDispatchTest, SortedSkylineBitIdenticalAcrossModes) {
   for (int dims : {2, 4, 8}) {
     PointSet data = RandomPoints(dims, 800, 13 * dims, /*gridded=*/true);
     const Subspace u = Subspace::FullSpace(dims);
-    for (bool use_rtree : {false, true}) {
-      ThresholdScanOptions options;
-      options.use_rtree = use_rtree;
-      ResultList scalar_result(dims);
-      ThresholdScanStats scalar_stats;
-      {
-        ScopedKernelMode mode(/*force_scalar=*/true);
-        ResultList sorted = BuildSortedByF(data);
-        scalar_result = SortedSkyline(sorted, u, options, &scalar_stats);
-      }
-      ResultList dispatched_result(dims);
-      ThresholdScanStats dispatched_stats;
-      {
-        ScopedKernelMode mode(/*force_scalar=*/false);
-        ResultList sorted = BuildSortedByF(data);
-        dispatched_result = SortedSkyline(sorted, u, options, &dispatched_stats);
-      }
-      EXPECT_EQ(scalar_result.points.Ids(), dispatched_result.points.Ids());
-      EXPECT_EQ(scalar_result.f, dispatched_result.f);
-      EXPECT_EQ(scalar_result.points.values(),
-                dispatched_result.points.values());
-      EXPECT_EQ(scalar_stats.scanned, dispatched_stats.scanned);
-      EXPECT_EQ(scalar_stats.final_threshold, dispatched_stats.final_threshold);
+    ResultList scalar_result(dims);
+    ThresholdScanStats scalar_stats;
+    {
+      ScopedKernelMode mode(/*force_scalar=*/true);
+      ResultList sorted = BuildSortedByF(data);
+      scalar_result = SortedSkyline(sorted, u, {}, &scalar_stats);
     }
+    ResultList dispatched_result(dims);
+    ThresholdScanStats dispatched_stats;
+    {
+      ScopedKernelMode mode(/*force_scalar=*/false);
+      ResultList sorted = BuildSortedByF(data);
+      dispatched_result = SortedSkyline(sorted, u, {}, &dispatched_stats);
+    }
+    EXPECT_EQ(scalar_result.points.Ids(), dispatched_result.points.Ids());
+    EXPECT_EQ(scalar_result.f, dispatched_result.f);
+    EXPECT_EQ(scalar_result.points.values(),
+              dispatched_result.points.values());
+    EXPECT_EQ(scalar_stats.scanned, dispatched_stats.scanned);
+    EXPECT_EQ(scalar_stats.final_threshold, dispatched_stats.final_threshold);
+
+    std::vector<PointId> ids = dispatched_result.points.Ids();
+    std::sort(ids.begin(), ids.end());
+    std::vector<PointId> bnl = BnlSkyline(data, u).Ids();
+    std::sort(bnl.begin(), bnl.end());
+    std::vector<PointId> sfs = SfsSkyline(data, u).Ids();
+    std::sort(sfs.begin(), sfs.end());
+    EXPECT_EQ(ids, bnl) << "dims=" << dims;
+    EXPECT_EQ(ids, sfs) << "dims=" << dims;
   }
 }
 

@@ -401,7 +401,6 @@ TEST(CacheEquivalence, FilterPathRepliesMatchFreshScansForAllVariants) {
   scan_config.measure_cpu = false;  // Virtual clocks must be exact.
   NetworkConfig cache_config = scan_config;
   cache_config.enable_cache = true;
-  cache_config.scan_chunk_size = 37;
 
   SkypeerNetwork scan_network(scan_config);
   scan_network.Preprocess();

@@ -2,7 +2,7 @@
 // (algo/filter_set.h): deterministic selection with per-dimension minima,
 // exact up-rounding quantization onto the wire grid, fingerprinting,
 // seeded-scan equivalence (subset + merge-identity, across the direct,
-// chunked, traced and replayed scan forms) and the filter-aware trace
+// traced and replayed scan forms) and the filter-aware trace
 // cache key — both at the cache unit level and end to end through two
 // initiators sharing one cached network.
 
@@ -214,7 +214,7 @@ TEST(SeededScan, FilteredResultIsASubsetAndMergesToTheSameSkyline) {
             SortedIds(BnlSkyline(merged_unfiltered, u)));
 }
 
-TEST(SeededScan, ChunkedTracedAndReplayedScansAgreeWithTheDirectScan) {
+TEST(SeededScan, TracedAndReplayedScansAgreeWithTheDirectScan) {
   SkypeerNetwork network(SmallConfig(41));
   network.Preprocess();
   const Subspace u = Subspace::FromDims({0, 2, 4});
@@ -249,15 +249,6 @@ TEST(SeededScan, ChunkedTracedAndReplayedScansAgreeWithTheDirectScan) {
   EXPECT_EQ(FullSignature(got), FullSignature(want));
   EXPECT_EQ(replay_stats.scanned, want_stats.scanned);
   EXPECT_EQ(replay_stats.final_threshold, want_stats.final_threshold);
-
-  // The chunked parallel scan seeds every chunk with the filter and
-  // cross-filters to the identical result (scan counts may differ).
-  ThresholdScanStats chunk_stats;
-  const ResultList chunked =
-      ParallelSortedSkyline(store_b, u, /*chunk_size=*/16, options,
-                            &chunk_stats);
-  EXPECT_EQ(FullSignature(chunked), FullSignature(direct));
-  EXPECT_EQ(chunk_stats.final_threshold, direct_stats.final_threshold);
 }
 
 // --- filter-aware trace cache -------------------------------------------

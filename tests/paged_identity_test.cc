@@ -6,8 +6,8 @@
 // modes — and simulated times are bit-identical between the in-memory
 // and the paged store, for all five variants plus the pipeline, at 1, 2
 // and 8 threads, with forced-scalar and dispatched SIMD kernels,
-// composed with --scan-chunk, --speculative-rt, --cache, --filter-set
-// and fault injection. Only the out-of-band physical pool counters may
+// composed with --speculative-rt, --cache, --filter-set and fault
+// injection. Only the out-of-band physical pool counters may
 // differ.
 
 #include <gtest/gtest.h>
@@ -93,11 +93,6 @@ TEST(PagedIdentity, MatchesInMemoryForAllVariantsThreadsKernelsCompositions) {
   std::vector<std::pair<std::string, NetworkConfig>> compositions;
   compositions.emplace_back("plain", BaseConfig());
   {
-    NetworkConfig chunked = BaseConfig();
-    chunked.scan_chunk_size = 16;
-    compositions.emplace_back("chunked", chunked);
-  }
-  {
     NetworkConfig speculative = BaseConfig();
     speculative.speculative_rt = true;
     compositions.emplace_back("speculative", speculative);
@@ -120,7 +115,6 @@ TEST(PagedIdentity, MatchesInMemoryForAllVariantsThreadsKernelsCompositions) {
   {
     // Everything at once, under injected faults.
     NetworkConfig faulted = BaseConfig();
-    faulted.scan_chunk_size = 64;
     faulted.speculative_rt = true;
     faulted.enable_cache = true;
     faulted.filter_set_size = 6;
@@ -418,6 +412,45 @@ TEST(PagedWorkloads, CloneForQueriesBuildsAPrivatePool) {
   const QueryResult replica = clone->ExecuteQuery(u, 3, Variant::kRTPM);
   EXPECT_EQ(Signature(original.skyline), Signature(replica.skyline));
   ExpectMetricsIdentical(replica.metrics, original.metrics, "paged clone");
+}
+
+TEST(PagedWorkloads, ResizingTheGlobalPoolKeepsPrefetchWorking) {
+  // A paged network built with `threads == 0` prefetches on the global
+  // pool. Resizing that pool frees the one the network was built with, so
+  // the buffer manager must look the pool up again on every prefetch
+  // instead of keeping the freed one.
+  // Stores several pages long, so scans read ahead.
+  NetworkConfig config = BaseConfig();
+  config.points_per_peer = 200;
+  config.dims = 6;
+  const std::vector<QueryTask> tasks =
+      GenerateWorkload(config.dims, 4, 4, config.num_super_peers, 107);
+  ThreadPool::SetGlobalConcurrency(1);
+  SkypeerNetwork in_memory(config);
+  in_memory.Preprocess();
+  ThreadPool::SetGlobalConcurrency(4);
+  SkypeerNetwork paged(Paged(config));
+  paged.Preprocess();
+
+  for (int threads : {2, 1, 3}) {
+    ThreadPool::SetGlobalConcurrency(threads);
+    for (const QueryTask& task : tasks) {
+      for (Variant variant : {Variant::kNaive, Variant::kRTPM}) {
+        const QueryResult want = in_memory.ExecuteQuery(
+            task.subspace, task.initiator_sp, variant);
+        const QueryResult got =
+            paged.ExecuteQuery(task.subspace, task.initiator_sp, variant);
+        const std::string context = "threads=" + std::to_string(threads) +
+                                    " u=" + task.subspace.ToString() + " " +
+                                    VariantName(variant);
+        EXPECT_EQ(Signature(got.skyline), Signature(want.skyline))
+            << context;
+        ExpectMetricsIdentical(got.metrics, want.metrics, context);
+      }
+    }
+  }
+  EXPECT_GT(paged.buffer_manager()->stats().prefetches_issued, 0u);
+  ThreadPool::SetGlobalConcurrency(1);
 }
 
 TEST(PagedWorkloads, PersistenceRoundTripsThroughMaterializedStores) {

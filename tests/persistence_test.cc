@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -119,6 +120,28 @@ TEST(Persistence, LoadRejectsCorruptedFile) {
   }
   SkypeerNetwork restored(config);
   EXPECT_FALSE(LoadStores(&restored, path).ok());
+  std::remove(path.c_str());
+}
+
+TEST(Persistence, LoadRejectsStoreSizeBeyondTheFile) {
+  // A snapshot header whose first store declares 2^62 bytes must be
+  // rejected before anything of that size is allocated.
+  const std::string path = TempPath("stores_oversized.bin");
+  const NetworkConfig config = Config(6);
+  {
+    std::FILE* file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    const uint32_t header[4] = {0x534b5053, 1,
+                                static_cast<uint32_t>(config.dims),
+                                static_cast<uint32_t>(config.num_super_peers)};
+    const uint64_t encoded_size = uint64_t{1} << 62;
+    ASSERT_EQ(std::fwrite(header, sizeof(header), 1, file), 1u);
+    ASSERT_EQ(std::fwrite(&encoded_size, sizeof(encoded_size), 1, file), 1u);
+    std::fclose(file);
+  }
+  SkypeerNetwork restored(config);
+  EXPECT_EQ(LoadStores(&restored, path).code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(restored.preprocessed());
   std::remove(path.c_str());
 }
 

@@ -137,19 +137,15 @@ TEST_P(PropertyTest, ThresholdFilterEquivalence) {
   }
 }
 
-// Scan results are insensitive to input order among equal-f points and to
-// the dominance-test backend.
+// Scan results are insensitive to input order among equal-f points and
+// agree with the BNL and SFS oracles.
 TEST_P(PropertyTest, ScanOrderInsensitive) {
   PointSet data = RandomData(dims(), 300, 23 * dims(), gridded());
   ResultList sorted = BuildSortedByF(data);
   const Subspace u = Subspace::FullSpace(dims());
-  ThresholdScanOptions rtree_options;
-  rtree_options.use_rtree = true;
-  ThresholdScanOptions linear_options;
-  linear_options.use_rtree = false;
-  const auto a = SortedIds(SortedSkyline(sorted, u, rtree_options).points);
-  const auto b = SortedIds(SortedSkyline(sorted, u, linear_options).points);
-  EXPECT_EQ(a, b);
+  const auto a = SortedIds(SortedSkyline(sorted, u).points);
+  EXPECT_EQ(a, SortedIds(BnlSkyline(data, u)));
+  EXPECT_EQ(a, SortedIds(SfsSkyline(data, u)));
 
   // Shuffle the raw input; BuildSortedByF re-sorts (stable), results match.
   Rng rng(7);

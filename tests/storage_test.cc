@@ -59,12 +59,11 @@ TEST(PageLayout, BlockAndPageGeometry) {
 
 TEST(PageLayout, ScanExaminedCountsTheRejectedProbe) {
   // A threshold scan that stops early reads one rejected f past the
-  // consumed prefix; a scan that exhausts [begin, end) does not.
-  EXPECT_EQ(ScanExamined(0, 100, 10), 11u);
-  EXPECT_EQ(ScanExamined(0, 100, 100), 100u);
-  EXPECT_EQ(ScanExamined(40, 100, 60), 60u);
-  EXPECT_EQ(ScanExamined(40, 100, 0), 1u);
-  EXPECT_EQ(ScanExamined(0, 0, 0), 0u);
+  // consumed prefix; a scan that exhausts the store does not.
+  EXPECT_EQ(ScanExamined(100, 10), 11u);
+  EXPECT_EQ(ScanExamined(100, 100), 100u);
+  EXPECT_EQ(ScanExamined(100, 0), 1u);
+  EXPECT_EQ(ScanExamined(0, 0), 0u);
 }
 
 TEST(PageLayout, ChargeScanPagesSpansTheExaminedPrefix) {
@@ -72,44 +71,30 @@ TEST(PageLayout, ChargeScanPagesSpansTheExaminedPrefix) {
   OpCounts ops;
 
   // Nothing examined: nothing charged.
-  ChargeScanPages(layout, 0, 0, 0, &ops);
+  ChargeScanPages(layout, 0, 0, &ops);
   EXPECT_EQ(ops.page_reads, 0u);
   EXPECT_EQ(ops.page_bytes, 0u);
 
   // 10 consumed + 1 probe, all inside page 0.
-  ChargeScanPages(layout, 0, 1000, 10, &ops);
+  ChargeScanPages(layout, 1000, 10, &ops);
   EXPECT_EQ(ops.page_reads, 1u);
   EXPECT_EQ(ops.page_bytes, 4096u);
 
   // 63 consumed + probe at position 63: still one page.
   ops = OpCounts();
-  ChargeScanPages(layout, 0, 1000, 63, &ops);
+  ChargeScanPages(layout, 1000, 63, &ops);
   EXPECT_EQ(ops.page_reads, 1u);
 
   // 64 consumed + probe at position 64: crosses into page 1.
   ops = OpCounts();
-  ChargeScanPages(layout, 0, 1000, 64, &ops);
+  ChargeScanPages(layout, 1000, 64, &ops);
   EXPECT_EQ(ops.page_reads, 2u);
 
-  // A chunk starting mid-store is charged from its own first page.
+  // A scan that exhausts a 100-point store reads exactly its two pages.
   ops = OpCounts();
-  ChargeScanPages(layout, 64, 128, 64, &ops);
-  EXPECT_EQ(ops.page_reads, 1u);
-
-  // A chunk straddling a page boundary pays both pages.
-  ops = OpCounts();
-  ChargeScanPages(layout, 60, 128, 8, &ops);
+  ChargeScanPages(layout, 100, 100, &ops);
   EXPECT_EQ(ops.page_reads, 2u);
   EXPECT_EQ(ops.page_bytes, 2u * 4096u);
-}
-
-TEST(PageLayout, SnapChunkToPagesRoundsUpToWholePages) {
-  const PageLayout layout(4096, 6);  // 64 points per page.
-  EXPECT_EQ(SnapChunkToPages(layout, 0), 0u);  // 0 = sequential stays 0.
-  EXPECT_EQ(SnapChunkToPages(layout, 1), 64u);
-  EXPECT_EQ(SnapChunkToPages(layout, 64), 64u);
-  EXPECT_EQ(SnapChunkToPages(layout, 65), 128u);
-  EXPECT_EQ(SnapChunkToPages(layout, 128), 128u);
 }
 
 // --- BufferManager ----------------------------------------------------------

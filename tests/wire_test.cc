@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "skypeer/algo/result_list.h"
@@ -116,6 +118,23 @@ TEST(Wire, RejectsSizeMismatchedHeader) {
   WireList decoded;
   EXPECT_FALSE(
       DecodeResultList(encoded.data(), encoded.size(), &decoded).ok());
+}
+
+TEST(Wire, RejectsCountThatWrapsTheSizeFormula) {
+  // Mask 1 (k = 1) makes a point 24 bytes. A count of 2^61 + 1 wraps
+  // 24 * count around to 24, so the 40-byte buffer below — header plus
+  // one point — matches the size formula while claiming 2^61 + 1 points.
+  ResultList list = MakeList(2, 1, 6);
+  std::vector<uint8_t> encoded =
+      EncodeResultList(list, Subspace::FromDims({0}));
+  ASSERT_EQ(encoded.size(), 40u);
+  const uint64_t count = (uint64_t{1} << 61) + 1;
+  std::memcpy(encoded.data() + 8, &count, sizeof(count));
+  WireList decoded;
+  const Status status =
+      DecodeResultList(encoded.data(), encoded.size(), &decoded);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(decoded.ids.empty());
 }
 
 }  // namespace

@@ -83,10 +83,6 @@ void PrintUsageAndExit(const char* binary, int code) {
       "                   charging unless --cost-model says otherwise\n"
       "  --calibrate      measure this host's per-op cost constants and\n"
       "                   print them as a profile on stdout, then exit\n"
-      "  --scan-chunk N   split super-peer threshold scans into chunks of\n"
-      "                   N points run on the thread pool (default 0 =\n"
-      "                   sequential scan). Results are identical either\n"
-      "                   way\n"
       "  --block-skip     consult per-block zone-map summaries during\n"
       "                   threshold scans: store blocks dominated by the\n"
       "                   live window are consumed without per-point\n"
@@ -229,9 +225,6 @@ CliOptions Parse(int argc, char** argv) {
     } else if (std::strcmp(arg, "--threads") == 0) {
       options.threads = static_cast<int>(
           ParseIntFlag("--threads", next_value(&i), 0, 4096));
-    } else if (std::strcmp(arg, "--scan-chunk") == 0) {
-      options.network.scan_chunk_size =
-          static_cast<size_t>(ParseU64Flag("--scan-chunk", next_value(&i)));
     } else if (std::strcmp(arg, "--filter-set") == 0) {
       options.network.filter_set_size =
           static_cast<size_t>(ParseU64Flag("--filter-set", next_value(&i)));
@@ -402,15 +395,13 @@ CostModel Calibrate(uint64_t seed) {
         wall / static_cast<double>(std::max<uint64_t>(1, ops.dominance_tests)));
   }
 
-  // scan_step_s: linear-window threshold scan; the non-dominance residual
-  // is the per-point scan overhead.
+  // scan_step_s: threshold scan; the non-dominance residual is the
+  // per-point scan overhead.
   {
-    ThresholdScanOptions opts;
-    opts.use_rtree = false;
     ThresholdScanStats stats;
     const double wall = BestWallSeconds(3, [&] {
       stats = ThresholdScanStats{};
-      SortedSkyline(sorted, sub4, opts, &stats);
+      SortedSkyline(sorted, sub4, ThresholdScanOptions{}, &stats);
     });
     const double known =
         static_cast<double>(stats.ops.dominance_tests) *
@@ -419,25 +410,6 @@ CostModel Calibrate(uint64_t seed) {
     model.scan_step_s = ClampCost(
         (wall - known) /
         static_cast<double>(std::max<uint64_t>(1, stats.ops.scan_steps)));
-  }
-
-  // rtree_node_visit_s: the same scan with the R-tree window index; the
-  // residual over the already-known classes is tree traversal.
-  {
-    ThresholdScanOptions opts;  // use_rtree defaults to true
-    ThresholdScanStats stats;
-    const double wall = BestWallSeconds(3, [&] {
-      stats = ThresholdScanStats{};
-      SortedSkyline(sorted, sub4, opts, &stats);
-    });
-    const double known =
-        static_cast<double>(stats.ops.dominance_tests) *
-            model.dominance_test_s +
-        static_cast<double>(stats.ops.scan_steps) * model.scan_step_s +
-        static_cast<double>(stats.ops.sort_steps) * model.sort_step_s;
-    model.rtree_node_visit_s = ClampCost(
-        (wall - known) /
-        static_cast<double>(std::max<uint64_t>(1, stats.ops.rtree_node_visits)));
   }
 
   // merge_pull_s: k-way merge of f-sorted lists; the residual over all
@@ -456,9 +428,7 @@ CostModel Calibrate(uint64_t seed) {
         static_cast<double>(stats.ops.dominance_tests) *
             model.dominance_test_s +
         static_cast<double>(stats.ops.scan_steps) * model.scan_step_s +
-        static_cast<double>(stats.ops.sort_steps) * model.sort_step_s +
-        static_cast<double>(stats.ops.rtree_node_visits) *
-            model.rtree_node_visit_s;
+        static_cast<double>(stats.ops.sort_steps) * model.sort_step_s;
     model.merge_pull_s = ClampCost(
         (wall - known) /
         static_cast<double>(std::max<uint64_t>(1, stats.ops.merge_pulls)));
