@@ -5,6 +5,7 @@
 
 #include "skypeer/common/mapping.h"
 #include "skypeer/common/point_set.h"
+#include "skypeer/common/status.h"
 
 namespace skypeer {
 
@@ -43,6 +44,13 @@ struct ResultList {
 /// Builds a `ResultList` from an unordered point set: computes `f` over the
 /// full space and sorts ascending (stable on ties for determinism).
 ResultList BuildSortedByF(const PointSet& input);
+
+/// Checks everything a super-peer store must satisfy before a scan may
+/// trust it (Obs. 5 pruning silently breaks otherwise): `dims`-wide
+/// points, every coordinate finite and >= 0, `f[i] == MinCoord(row)`,
+/// f non-decreasing, and unique point ids. `InvalidArgument` names the
+/// first violation.
+Status ValidateStore(const ResultList& store, int dims);
 
 }  // namespace skypeer
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <numeric>
 #include <vector>
 
@@ -216,6 +217,38 @@ ResultList BuildSortedByF(const PointSet& input) {
     result.f.push_back(f[i]);
   }
   return result;
+}
+
+Status ValidateStore(const ResultList& store, int dims) {
+  if (store.points.dims() != dims) {
+    return Status::InvalidArgument("store dimensionality mismatch");
+  }
+  if (store.f.size() != store.points.size()) {
+    return Status::InvalidArgument("store f is not parallel to its points");
+  }
+  std::vector<PointId> ids;
+  ids.reserve(store.size());
+  for (size_t i = 0; i < store.size(); ++i) {
+    const double* row = store.points[i];
+    for (int d = 0; d < dims; ++d) {
+      if (!std::isfinite(row[d]) || row[d] < 0.0) {
+        return Status::InvalidArgument(
+            "store coordinate is not finite and non-negative");
+      }
+    }
+    if (store.f[i] != MinCoord(row, dims)) {
+      return Status::InvalidArgument("store f is not the minimum coordinate");
+    }
+    if (i > 0 && store.f[i] < store.f[i - 1]) {
+      return Status::InvalidArgument("store is not f-sorted");
+    }
+    ids.push_back(store.points.id(i));
+  }
+  std::sort(ids.begin(), ids.end());
+  if (std::adjacent_find(ids.begin(), ids.end()) != ids.end()) {
+    return Status::InvalidArgument("store point ids are not unique");
+  }
+  return Status::OK();
 }
 
 SkylineAccumulator::SkylineAccumulator(int dims, Subspace u,

@@ -1,5 +1,6 @@
 #include "skypeer/engine/cost_model.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -76,7 +77,7 @@ bool CostModel::LoadProfileString(const std::string& text) {
     const std::string value = line.substr(eq + 1);
     char* end = nullptr;
     const double parsed = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || parsed < 0.0) {
+    if (end == value.c_str() || !std::isfinite(parsed) || parsed < 0.0) {
       return false;
     }
     if (key == "dominance_test_s") {

@@ -85,7 +85,7 @@ struct CostModel {
 
   /// Parses a profile produced by `ToProfileString` (unknown keys and
   /// blank/comment lines are ignored) into this model's constants.
-  /// Returns false on a malformed line.
+  /// Returns false on a malformed line or a negative or non-finite cost.
   bool LoadProfileString(const std::string& text);
 };
 

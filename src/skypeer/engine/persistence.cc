@@ -135,9 +135,7 @@ Status LoadStores(SkypeerNetwork* network, const std::string& path) {
       store.points.Append(wire.coords.data() + i * dims, wire.ids[i]);
       store.f.push_back(wire.f[i]);
     }
-    if (!store.IsSorted()) {
-      return Status::InvalidArgument("snapshot store is not f-sorted");
-    }
+    SKYPEER_RETURN_IF_ERROR(ValidateStore(store, network->dims()));
     stores.push_back(std::move(store));
   }
   return network->AdoptStores(std::move(stores));

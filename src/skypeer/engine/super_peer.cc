@@ -76,6 +76,13 @@ void SuperPeer::RebuildStore(ThresholdScanStats* stats) {
 }
 
 void SuperPeer::InstallStore(ResultList store) {
+  bool validate = verify_maintenance_;
+#ifndef NDEBUG
+  validate = true;
+#endif
+  if (validate) {
+    SKYPEER_CHECK(ValidateStore(store, dims_).ok());
+  }
   if (current_pins_ > 0) {
     // The outgoing epoch is pinned by an in-flight query: retire it
     // intact — resident list, paged pages and summary — instead of
@@ -817,25 +824,44 @@ void SuperPeer::SendReplyReliable(sim::Simulator* simulator, int dst,
 
 // --- local computation ---------------------------------------------------
 
-void SuperPeer::RunLocalScan(const Subspace& subspace, Variant variant,
-                             double threshold_in, const ResultList* filter,
-                             uint64_t filter_fp,
-                             std::shared_ptr<const ResultList>* local,
-                             double* threshold_out, size_t* scanned,
-                             OpCounts* ops, double* cpu_s) {
-  *ops = OpCounts{};
+SuperPeer::LocalScan& SuperPeer::ResetMemo(const Subspace& subspace,
+                                           Variant variant,
+                                           double threshold_in,
+                                           uint64_t filter_fp) {
+  LocalScan& scan = memo_.emplace();
+  scan.epoch = scan_epoch_;
+  scan.mask = subspace.mask();
+  scan.variant = variant;
+  scan.threshold_in = threshold_in;
+  scan.filter_fp = filter_fp;
+  return scan;
+}
+
+const SuperPeer::LocalScan& SuperPeer::RunLocalScan(
+    const Subspace& subspace, Variant variant, double threshold_in,
+    const ResultList* filter, uint64_t filter_fp) {
+  // The output is a pure function of the key: the epoch pins the store
+  // content, and block skipping / the cache (the only other inputs) reset
+  // the memo when toggled.
+  if (memo_.has_value() && memo_->epoch == scan_epoch_ &&
+      memo_->mask == subspace.mask() && memo_->variant == variant &&
+      memo_->threshold_in == threshold_in && memo_->filter_fp == filter_fp) {
+    return *memo_;
+  }
+  LocalScan& scan = ResetMemo(subspace, variant, threshold_in, filter_fp);
   const StoreView view = View();
   if (variant == Variant::kNaive) {
     // The baseline ignores the f-ordering and the threshold: a plain BNL
     // over the store, then sorted for shipping.
     const auto start = std::chrono::steady_clock::now();
-    PointSet skyline = BnlSkylineView(view, subspace, /*ext=*/false, ops);
-    ops->sort_steps += SortCost(skyline.size());
-    *local = std::make_shared<const ResultList>(BuildSortedByF(skyline));
-    *threshold_out = threshold_in;
-    *scanned = view.size();
-    *cpu_s = SecondsSince(start);
-    return;
+    PointSet skyline = BnlSkylineView(view, subspace, /*ext=*/false,
+                                      &scan.ops);
+    scan.ops.sort_steps += SortCost(skyline.size());
+    scan.local = std::make_shared<const ResultList>(BuildSortedByF(skyline));
+    scan.threshold_out = threshold_in;
+    scan.scanned = view.size();
+    scan.cpu_s = SecondsSince(start);
+    return scan;
   }
 
   if (cache_enabled_) {
@@ -877,17 +903,17 @@ void SuperPeer::RunLocalScan(const Subspace& subspace, Variant variant,
                              std::move(trace));
     }
     ThresholdScanStats stats;
-    *local = std::make_shared<const ResultList>(
+    scan.local = std::make_shared<const ResultList>(
         ReplayScanTrace(view, *entry, threshold_in, &stats));
-    *threshold_out = stats.final_threshold;
-    *scanned = stats.scanned;
+    scan.threshold_out = stats.final_threshold;
+    scan.scanned = stats.scanned;
     // Only the replay is counted: the fill is amortized cache warming, and
     // excluding it keeps counted charges independent of hit/miss order
     // (replicas sharing a cache see different orders). Measured time still
     // covers the whole call, preserving the measured model's semantics.
-    *ops = stats.ops;
-    *cpu_s = SecondsSince(start);
-    return;
+    scan.ops = stats.ops;
+    scan.cpu_s = SecondsSince(start);
+    return scan;
   }
 
   ThresholdScanOptions options;
@@ -895,13 +921,14 @@ void SuperPeer::RunLocalScan(const Subspace& subspace, Variant variant,
   options.block_skip = block_skip_;
   options.filter = filter;
   ThresholdScanStats stats;
-  *local = std::make_shared<const ResultList>(
+  scan.local = std::make_shared<const ResultList>(
       SortedSkyline(view, subspace, options, &stats));
   // The scan threshold only ever tightens; RT*M forwards this value.
-  *threshold_out = stats.final_threshold;
-  *scanned = stats.scanned;
-  *ops = stats.ops;
-  *cpu_s = stats.cpu_seconds;
+  scan.threshold_out = stats.final_threshold;
+  scan.scanned = stats.scanned;
+  scan.ops = stats.ops;
+  scan.cpu_s = stats.cpu_seconds;
+  return scan;
 }
 
 void SuperPeer::StageLocalScan(const Subspace& subspace, Variant variant,
@@ -910,25 +937,18 @@ void SuperPeer::StageLocalScan(const Subspace& subspace, Variant variant,
   if (filter != nullptr && filter->empty()) {
     filter = nullptr;
   }
-  StagedScan staged;
-  staged.mask = subspace.mask();
-  staged.variant = variant;
-  staged.threshold_in = threshold;
-  staged.filter_fp = filter != nullptr ? FilterFingerprint(*filter) : 0;
-  RunLocalScan(subspace, variant, threshold, filter.get(), staged.filter_fp,
-               &staged.local, &staged.threshold_out, &staged.scanned,
-               &staged.ops, &staged.cpu_s);
-  staged_ = std::move(staged);
+  RunLocalScan(subspace, variant, threshold, filter.get(),
+               filter != nullptr ? FilterFingerprint(*filter) : 0);
 }
 
 double SuperPeer::StagedThreshold() const {
-  SKYPEER_CHECK(staged_.has_value());
-  return staged_->threshold_out;
+  SKYPEER_CHECK(memo_.has_value());
+  return memo_->threshold_out;
 }
 
 std::shared_ptr<const ResultList> SuperPeer::StagedLocal() const {
-  SKYPEER_CHECK(staged_.has_value());
-  return staged_->local;
+  SKYPEER_CHECK(memo_.has_value());
+  return memo_->local;
 }
 
 void SuperPeer::StageSpeculativeScan(const Subspace& subspace, Variant variant,
@@ -943,31 +963,35 @@ void SuperPeer::StageSpeculativeScan(const Subspace& subspace, Variant variant,
   staged.variant = variant;
   staged.threshold_in = fixed_threshold;
   staged.filter_fp = filter != nullptr ? FilterFingerprint(*filter) : 0;
-  staged.speculative = true;
   if (!cache_enabled_) {
     // Plain scan: record the event trace so the reconcile can replay
     // the scan under the refined threshold without any dominance test.
     // The filter seeds are baked into the recorded events; the staged
-    // fingerprint guards the match.
+    // fingerprint guards the match. The traced scan is the direct scan
+    // under `fixed_threshold`, so it also becomes the memo: an arrival at
+    // exactly that threshold reuses it.
     ThresholdScanOptions options;
     options.initial_threshold = fixed_threshold;
     options.block_skip = block_skip_;
     options.filter = filter.get();
     ThresholdScanStats stats;
-    staged.local = std::make_shared<const ResultList>(TracedSortedSkyline(
+    LocalScan& scan =
+        ResetMemo(subspace, variant, fixed_threshold, staged.filter_fp);
+    scan.local = std::make_shared<const ResultList>(TracedSortedSkyline(
         View(), subspace, options, &stats, &staged.trace));
-    staged.threshold_out = stats.final_threshold;
-    staged.scanned = stats.scanned;
-    staged.ops = stats.ops;
-    staged.cpu_s = stats.cpu_seconds;
+    scan.threshold_out = stats.final_threshold;
+    scan.scanned = stats.scanned;
+    scan.ops = stats.ops;
+    scan.cpu_s = stats.cpu_seconds;
+    staged.cpu_s = scan.cpu_s;
     staged.has_trace = true;
   } else {
     // Cache path: the scan warms the shared trace cache (a pure function
     // of the store and filter, so identical to what the protocol run
     // would insert) and the reconcile replays it at the refined value.
-    RunLocalScan(subspace, variant, fixed_threshold, filter.get(),
-                 staged.filter_fp, &staged.local, &staged.threshold_out,
-                 &staged.scanned, &staged.ops, &staged.cpu_s);
+    staged.cpu_s = RunLocalScan(subspace, variant, fixed_threshold,
+                                filter.get(), staged.filter_fp)
+                       .cpu_s;
   }
   staged_ = std::move(staged);
 }
@@ -994,21 +1018,6 @@ void SuperPeer::ComputeLocal(sim::Simulator* simulator, QueryState* state) {
   if (staged_.has_value() && staged_->mask == state->subspace.mask() &&
       staged_->variant == state->variant &&
       staged_->filter_fp == state->filter_fp &&
-      staged_->threshold_in == state->threshold) {
-    // Exact match: the staged scan is the inline scan, so its ops (and,
-    // under the measured model, its self-measured work seconds) are the
-    // inline charge.
-    ChargeOps(simulator, staged_->ops, staged_->cpu_s);
-    state->local = std::move(staged_->local);
-    state->threshold = staged_->threshold_out;
-    state->scanned = staged_->scanned;
-    staged_.reset();
-    return;
-  }
-  if (staged_.has_value() && staged_->speculative &&
-      staged_->mask == state->subspace.mask() &&
-      staged_->variant == state->variant &&
-      staged_->filter_fp == state->filter_fp &&
       state->threshold < staged_->threshold_in) {
     // Reconcile a speculative scan against the refined threshold the
     // protocol actually delivered. Under the measured model the node
@@ -1017,10 +1026,10 @@ void SuperPeer::ComputeLocal(sim::Simulator* simulator, QueryState* state) {
     // they equal the ops of the direct scan under the refined threshold,
     // so speculative staging leaves counted charges bit-identical to the
     // non-speculative execution.
+    if (measure_cpu_ && !cost_.counted()) {
+      simulator->ChargeCpu(staged_->cpu_s);
+    }
     if (staged_->has_trace) {
-      if (measure_cpu_ && !cost_.counted()) {
-        simulator->ChargeCpu(staged_->cpu_s);
-      }
       const auto start = std::chrono::steady_clock::now();
       ThresholdScanStats stats;
       state->local = std::make_shared<const ResultList>(ReplayScanTrace(
@@ -1031,29 +1040,20 @@ void SuperPeer::ComputeLocal(sim::Simulator* simulator, QueryState* state) {
       ChargeOps(simulator, stats.ops, SecondsSince(start));
       return;
     }
-    if (cache_enabled_) {
-      // The speculative scan warmed the trace cache; replaying it under
-      // the refined threshold is exactly the sequential cache-hit path.
-      if (measure_cpu_ && !cost_.counted()) {
-        simulator->ChargeCpu(staged_->cpu_s);
-      }
-      staged_.reset();
-      OpCounts ops;
-      double cpu_s = 0.0;
-      RunLocalScan(state->subspace, state->variant, state->threshold,
-                   state->filter.get(), state->filter_fp, &state->local,
-                   &state->threshold, &state->scanned, &ops, &cpu_s);
-      ChargeOps(simulator, ops, cpu_s);
-      return;
-    }
+    // Cache path: the speculative scan warmed the trace cache; the scan
+    // below replays it under the refined threshold, exactly the
+    // sequential cache-hit path.
   }
   staged_.reset();
-  OpCounts ops;
-  double cpu_s = 0.0;
-  RunLocalScan(state->subspace, state->variant, state->threshold,
-               state->filter.get(), state->filter_fp, &state->local,
-               &state->threshold, &state->scanned, &ops, &cpu_s);
-  ChargeOps(simulator, ops, cpu_s);
+  // A memo hit (a staged scan, or the same scan in the configured-links
+  // run) charges the recorded ops and seconds, exactly as the scan did.
+  const LocalScan& scan =
+      RunLocalScan(state->subspace, state->variant, state->threshold,
+                   state->filter.get(), state->filter_fp);
+  ChargeOps(simulator, scan.ops, scan.cpu_s);
+  state->local = scan.local;
+  state->threshold = scan.threshold_out;
+  state->scanned = scan.scanned;
 }
 
 SuperPeer::LastQueryStats SuperPeer::last_query_stats() const {

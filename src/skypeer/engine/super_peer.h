@@ -210,7 +210,10 @@ class SuperPeer : public sim::Node {
   /// incoming threshold (exact result, scan count and final threshold,
   /// zero dominance tests) instead of rescanning the store.
   /// Invalidated by churn. The naive baseline never uses it.
-  void set_enable_cache(bool enable) { cache_enabled_ = enable; }
+  void set_enable_cache(bool enable) {
+    cache_enabled_ = enable;
+    memo_.reset();
+  }
 
   /// Installs a shared result cache (see `SubspaceScanTraceCache`): replica
   /// clones of a network attach the original's cache so a workload warms
@@ -229,7 +232,10 @@ class SuperPeer : public sim::Node {
   /// way; op counts gain `summary_tests`/`blocks_skipped` and shed the
   /// skipped dominance/scan/page charges. All nodes of a network should
   /// agree on the setting (the network builder wires it uniformly).
-  void set_block_skip(bool enable) { block_skip_ = enable; }
+  void set_block_skip(bool enable) {
+    block_skip_ = enable;
+    memo_.reset();
+  }
 
   /// Maximum size of the broadcast filter set this node selects when it
   /// initiates a non-naive query (see `SelectFilterSet`): sampled from
@@ -253,10 +259,27 @@ class SuperPeer : public sim::Node {
   void set_num_super_peers(int n) { num_super_peers_ = n; }
 
   /// Clears any in-flight query state; call between query executions.
+  /// Keeps the scan memo (see `ClearScanMemo`).
   void ResetQueryState() {
     query_.reset();
     staged_.reset();
   }
+
+  /// Drops the per-query scan memo: the last local scan this node ran,
+  /// kept with its key — (scan epoch, subspace mask, variant, incoming
+  /// threshold, filter fingerprint) — and its output (local result,
+  /// final threshold, scan count, op counts, self-measured seconds). A
+  /// local scan whose key matches the memo exactly returns the memo
+  /// instead of rescanning, and `ComputeLocal` charges the recorded ops
+  /// and seconds exactly as a fresh scan would, so counted charges,
+  /// answers and volumes are unchanged. The memo survives
+  /// `ResetProtocolState`, so a query's infinite-bandwidth compute run
+  /// reuses the scans of its configured-links run; `SkypeerNetwork::
+  /// ExecuteQuery` clears every node's memo before the first run and
+  /// after the second. Under the *measured* cost model a memo hit
+  /// charges the seconds measured when the scan ran, not a second
+  /// measurement.
+  void ClearScanMemo() { memo_.reset(); }
 
   /// Clears *all* per-query protocol state: the query state proper
   /// (`ResetQueryState`), plus the reliable transport's in-flight
@@ -285,17 +308,16 @@ class SuperPeer : public sim::Node {
 
   /// Pre-executes the local scan this node would run for a query on
   /// `subspace` under `variant` arriving with `threshold`, measuring its
-  /// CPU cost on the executing (worker) thread. When the real query
-  /// message arrives with exactly these parameters, `ComputeLocal`
-  /// consumes the staged result and charges the recorded cost to the
-  /// virtual clock; on any parameter mismatch the scan silently reruns
-  /// inline, so staging can never change results or metrics — it only
-  /// moves host CPU work off the simulator thread. Safe to call
-  /// concurrently on *different* SuperPeer instances (it touches only
-  /// this node's store and cache). Cleared by `ResetQueryState`.
-  /// `filter` is the broadcast filter set the query will carry (null for
-  /// none); the staged scan is only consumed by a query with a matching
-  /// filter fingerprint.
+  /// CPU cost on the executing (worker) thread, and leaves it in the scan
+  /// memo (see `ClearScanMemo`). When the real query message arrives with
+  /// exactly these parameters, `ComputeLocal` finds the memo and charges
+  /// the recorded cost to the virtual clock; on any parameter mismatch
+  /// the scan silently reruns inline, so staging can never change results
+  /// or metrics — it only moves host CPU work off the simulator thread.
+  /// Safe to call concurrently on *different* SuperPeer instances (it
+  /// touches only this node's store, cache and memo). `filter` is the
+  /// broadcast filter set the query will carry (null for none); its
+  /// fingerprint is part of the memo key.
   void StageLocalScan(const Subspace& subspace, Variant variant,
                       double threshold,
                       std::shared_ptr<const ResultList> filter = nullptr);
@@ -319,15 +341,14 @@ class SuperPeer : public sim::Node {
                             double fixed_threshold,
                             std::shared_ptr<const ResultList> filter = nullptr);
 
-  /// Threshold the staged scan ended with — for FT*M the value the
-  /// initiator floods. Requires a preceding `StageLocalScan`.
+  /// Threshold the memoized scan ended with — after `StageLocalScan`,
+  /// for FT*M the value the initiator floods. Requires a memo.
   double StagedThreshold() const;
 
-  /// Local result of the staged scan. Requires a preceding
-  /// `StageLocalScan` / `StageSpeculativeScan`. The network staging wave
-  /// uses the initiator's staged local to construct — content-identically
-  /// to what the protocol run will select — the filter set the other
-  /// nodes stage under.
+  /// Local result of the memoized scan. Requires a memo. The network
+  /// staging wave uses the initiator's staged local to construct —
+  /// content-identically to what the protocol run will select — the
+  /// filter set the other nodes stage under.
   std::shared_ptr<const ResultList> StagedLocal() const;
 
   void HandleMessage(sim::Simulator* simulator,
@@ -439,25 +460,38 @@ class SuperPeer : public sim::Node {
     bool partial = false;
   };
 
-  /// A local scan computed ahead of message delivery by `StageLocalScan`
-  /// or `StageSpeculativeScan`.
+  /// One local scan: its memo key and its output (see `ClearScanMemo`).
+  struct LocalScan {
+    /// Store epoch the scan read (`scan_epoch_`).
+    uint64_t epoch = 0;
+    uint32_t mask = 0;
+    Variant variant = Variant::kFTPM;
+    double threshold_in = 0.0;
+    /// Fingerprint of the filter the scan seeded its window with (0 =
+    /// none).
+    uint64_t filter_fp = 0;
+    std::shared_ptr<const ResultList> local;
+    double threshold_out = 0.0;
+    size_t scanned = 0;
+    /// Operation counts of the scan.
+    OpCounts ops;
+    /// Work seconds of the scan as self-measured on the executing thread.
+    double cpu_s = 0.0;
+  };
+
+  /// A speculative scan staged by `StageSpeculativeScan` under an
+  /// upper-bound threshold; `ComputeLocal` reconciles it against any
+  /// arriving threshold < `threshold_in` (an arrival at exactly
+  /// `threshold_in` hits the scan memo instead).
   struct StagedScan {
     uint32_t mask = 0;
     Variant variant = Variant::kFTPM;
     double threshold_in = 0.0;
     /// Fingerprint of the filter the scan was staged under (0 = none); a
-    /// query only consumes the staged result on an exact match.
+    /// query only reconciles on an exact match.
     uint64_t filter_fp = 0;
-    std::shared_ptr<const ResultList> local;
-    double threshold_out = 0.0;
-    size_t scanned = 0;
     /// Work seconds of the scan as self-measured on the staging thread.
     double cpu_s = 0.0;
-    /// Operation counts of the staged scan.
-    OpCounts ops;
-    /// Staged under an upper-bound threshold; `ComputeLocal` may
-    /// reconcile it against any arriving threshold <= `threshold_in`.
-    bool speculative = false;
     /// Event log of the speculative sequential scan, replayable under
     /// tighter thresholds. Unset (`has_trace` false) on the cache path.
     bool has_trace = false;
@@ -534,25 +568,30 @@ class SuperPeer : public sim::Node {
   /// Computes the local subspace skyline under `state->threshold` and
   /// stores it in `state->local`, charging measured CPU. Updates
   /// `state->threshold` to the (possibly lower) final scan threshold.
-  /// Consumes a matching staged scan instead of recomputing.
+  /// Reconciles a matching speculative scan, or reuses the scan memo,
+  /// instead of recomputing.
   void ComputeLocal(sim::Simulator* simulator, QueryState* state);
 
   /// The simulator-free scan core shared by `ComputeLocal` and
   /// `StageLocalScan`: evaluates `subspace` against the store under
-  /// `threshold_in` for `variant` (including the cache path) and writes
-  /// the resulting list, tightened threshold and scan count. `ops`
-  /// receives the scan's operation counts (the cache path reports the
-  /// replay's counts only — trace fills are amortized cache warming) and
-  /// `cpu_s` the work seconds self-measured on the executing thread.
-  /// `filter` / `filter_fp` is the broadcast filter set the scan seeds
-  /// its window with (null/0 = none); the fingerprint keys the trace
-  /// cache so filtered and unfiltered traces never cross.
-  void RunLocalScan(const Subspace& subspace, Variant variant,
-                    double threshold_in, const ResultList* filter,
-                    uint64_t filter_fp,
-                    std::shared_ptr<const ResultList>* local,
-                    double* threshold_out, size_t* scanned, OpCounts* ops,
-                    double* cpu_s);
+  /// `threshold_in` for `variant` (including the cache path) and returns
+  /// the resulting list, tightened threshold and scan count. `ops` are
+  /// the scan's operation counts (the cache path reports the replay's
+  /// counts only — trace fills are amortized cache warming) and `cpu_s`
+  /// the work seconds self-measured on the executing thread. `filter` /
+  /// `filter_fp` is the broadcast filter set the scan seeds its window
+  /// with (null/0 = none); the fingerprint keys the trace cache so
+  /// filtered and unfiltered traces never cross. Returns the scan memo
+  /// on an exact key match; otherwise scans and overwrites the memo. The
+  /// reference is valid until the memo next changes.
+  const LocalScan& RunLocalScan(const Subspace& subspace, Variant variant,
+                                double threshold_in, const ResultList* filter,
+                                uint64_t filter_fp);
+
+  /// Replaces the memo with an empty output under the given key (the
+  /// current scan epoch) and returns it for the scan to fill.
+  LocalScan& ResetMemo(const Subspace& subspace, Variant variant,
+                       double threshold_in, uint64_t filter_fp);
 
   /// Initiator only, after its local scan: selects the broadcast filter
   /// set from `state->local` when `filter_set_size_` > 0 and the variant
@@ -648,6 +687,9 @@ class SuperPeer : public sim::Node {
   bool preprocessed_ = false;
   std::vector<int> neighbors_;
   std::optional<QueryState> query_;
+  /// Per-query scan memo (see `ClearScanMemo`).
+  std::optional<LocalScan> memo_;
+  /// Speculative scan awaiting its refined threshold (`--speculative-rt`).
   std::optional<StagedScan> staged_;
   // Reliable transport state (unused while `reliable_.enabled` is off).
   ReliableParams reliable_;

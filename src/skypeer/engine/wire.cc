@@ -15,9 +15,9 @@ constexpr size_t kHeaderBytes = 16;
 
 template <typename T>
 void Put(std::vector<uint8_t>* out, T value) {
-  uint8_t bytes[sizeof(T)];
-  std::memcpy(bytes, &value, sizeof(T));
-  out->insert(out->end(), bytes, bytes + sizeof(T));
+  const size_t offset = out->size();
+  out->resize(offset + sizeof(T));
+  std::memcpy(out->data() + offset, &value, sizeof(T));
 }
 
 template <typename T>

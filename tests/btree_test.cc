@@ -211,9 +211,12 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(300, 2000),
                        ::testing::Bool()),
     [](const auto& info) {
-      return "m" + std::to_string(std::get<0>(info.param)) + "_ops" +
-             std::to_string(std::get<1>(info.param)) +
-             (std::get<2>(info.param) ? "_discrete" : "_cont");
+      std::string name = "m";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_ops";
+      name += std::to_string(std::get<1>(info.param));
+      name += std::get<2>(info.param) ? "_discrete" : "_cont";
+      return name;
     });
 
 }  // namespace

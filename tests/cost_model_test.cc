@@ -17,6 +17,7 @@
 #include "skypeer/engine/experiment.h"
 #include "skypeer/engine/metrics.h"
 #include "skypeer/engine/network_builder.h"
+#include "skypeer/sim/simulator.h"
 
 namespace skypeer {
 namespace {
@@ -108,6 +109,8 @@ TEST(CostModel, ProfileIgnoresCommentsAndRejectsGarbage) {
   EXPECT_EQ(model.dominance_test_s, 5e-9);
   EXPECT_FALSE(model.LoadProfileString("dominance_test_s=not-a-number\n"));
   EXPECT_FALSE(model.LoadProfileString("no equals sign here\n"));
+  EXPECT_FALSE(model.LoadProfileString("dominance_test_s=nan\n"));
+  EXPECT_FALSE(model.LoadProfileString("byte_s=inf\n"));
 }
 
 TEST(CostModel, ModeNamesParseAndPrint) {
@@ -344,6 +347,73 @@ TEST(CountedDeterminism, FeatureCompositionsAreDeterministic) {
     ThreadPool::SetGlobalConcurrency(1);
     ExpectRunsBitIdentical(first, threaded,
                            std::string(composition.name) + " threads=4");
+  }
+}
+
+TEST(CountedDeterminism, ComputeRunMatchesAnInfiniteBandwidthTwin) {
+  // Independent oracle for a query's compute run (the second protocol
+  // run, on infinite bandwidth with zero latency): twin B is the same
+  // network built with such links, so its configured-links run *is* that
+  // computation, executed from scratch. Fault-free, A's computational
+  // time must equal B's total time, and the per-node counters (which
+  // both report from that computation) must agree. `ops` reports the
+  // configured-links run; it matches B's only for the sequential
+  // variants — under naive/FT*M the reply arrival order, and with it the
+  // merge work, follows link speed.
+  struct Composition {
+    const char* name;
+    void (*apply)(NetworkConfig*);
+  };
+  const Composition compositions[] = {
+      {"plain", [](NetworkConfig*) {}},
+      {"filter", [](NetworkConfig* c) { c->filter_set_size = 4; }},
+      {"block-skip", [](NetworkConfig* c) { c->block_skip = true; }},
+      {"paged", [](NetworkConfig* c) { c->buffer_pages = 4; }},
+      {"churn",
+       [](NetworkConfig* c) {
+         c->dynamic_membership = true;
+         c->churn_events = 8;
+       }},
+  };
+  for (const Composition& composition : compositions) {
+    for (int threads : {1, 4}) {
+      NetworkConfig config_a = CountedConfig();
+      composition.apply(&config_a);
+      config_a.threads = threads;
+      NetworkConfig config_b = config_a;
+      config_b.bandwidth = sim::kInfiniteBandwidth;
+      config_b.latency = 0.0;
+      const std::vector<QueryTask> tasks = CountedTasks(config_a);
+
+      SkypeerNetwork a(config_a);
+      SkypeerNetwork b(config_b);
+      a.Preprocess();
+      b.Preprocess();
+      for (Variant variant : AllSixVariants()) {
+        for (size_t t = 0; t < tasks.size(); ++t) {
+          const std::string context =
+              std::string(composition.name) +
+              " threads=" + std::to_string(threads) + " " +
+              VariantName(variant) + " task " + std::to_string(t);
+          const QueryResult ra = a.ExecuteQuery(
+              tasks[t].subspace, tasks[t].initiator_sp, variant);
+          const QueryResult rb = b.ExecuteQuery(
+              tasks[t].subspace, tasks[t].initiator_sp, variant);
+          EXPECT_EQ(Signature(ra.skyline), Signature(rb.skyline)) << context;
+          EXPECT_EQ(ra.metrics.computational_time_s, rb.metrics.total_time_s)
+              << context;
+          EXPECT_EQ(ra.metrics.store_points_scanned,
+                    rb.metrics.store_points_scanned)
+              << context;
+          EXPECT_EQ(ra.metrics.local_result_points,
+                    rb.metrics.local_result_points)
+              << context;
+          if (RefinesThresholdOnPath(variant)) {
+            ExpectOpsEqual(ra.metrics.ops, rb.metrics.ops, context);
+          }
+        }
+      }
+    }
   }
 }
 

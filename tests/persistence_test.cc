@@ -6,12 +6,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "skypeer/engine/experiment.h"
 #include "skypeer/engine/network_builder.h"
 #include "skypeer/engine/persistence.h"
+#include "skypeer/engine/wire.h"
 
 namespace skypeer {
 namespace {
@@ -143,6 +145,90 @@ TEST(Persistence, LoadRejectsStoreSizeBeyondTheFile) {
   EXPECT_EQ(LoadStores(&restored, path).code(), StatusCode::kInvalidArgument);
   EXPECT_FALSE(restored.preprocessed());
   std::remove(path.c_str());
+}
+
+/// Writes a snapshot in the on-disk format (header, then per store its
+/// byte size and full-space wire encoding) without `SaveStores`, so a test
+/// can plant a store no preprocessing would produce.
+void WriteSnapshot(const std::string& path, int dims,
+                   const std::vector<ResultList>& stores) {
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(file, nullptr);
+  const uint32_t header[4] = {0x534b5053, 1, static_cast<uint32_t>(dims),
+                              static_cast<uint32_t>(stores.size())};
+  ASSERT_EQ(std::fwrite(header, sizeof(header), 1, file), 1u);
+  for (const ResultList& store : stores) {
+    const std::vector<uint8_t> encoded =
+        EncodeResultList(store, Subspace::FullSpace(dims));
+    const uint64_t size = encoded.size();
+    ASSERT_EQ(std::fwrite(&size, sizeof(size), 1, file), 1u);
+    ASSERT_EQ(std::fwrite(encoded.data(), 1, encoded.size(), file),
+              encoded.size());
+  }
+  std::fclose(file);
+}
+
+/// One point of a planted store: its row, id and recorded f.
+struct PlantedPoint {
+  std::vector<double> row;
+  PointId id;
+  double f;
+};
+
+/// Loads a snapshot whose first store holds `points` (the others empty)
+/// into a fresh network of `Config(seed)`'s shape.
+Status LoadPlantedStore(uint64_t seed, const char* name,
+                        const std::vector<PlantedPoint>& points) {
+  const NetworkConfig config = Config(seed);
+  std::vector<ResultList> stores;
+  for (int sp = 0; sp < config.num_super_peers; ++sp) {
+    stores.emplace_back(config.dims);
+  }
+  for (const PlantedPoint& point : points) {
+    stores[0].points.Append(point.row.data(), point.id);
+    stores[0].f.push_back(point.f);
+  }
+  const std::string path = TempPath(name);
+  WriteSnapshot(path, config.dims, stores);
+  SkypeerNetwork restored(config);
+  const Status status = LoadStores(&restored, path);
+  EXPECT_EQ(restored.preprocessed(), status.ok());
+  std::remove(path.c_str());
+  return status;
+}
+
+TEST(Persistence, LoadAcceptsAPlantedValidStore) {
+  EXPECT_TRUE(LoadPlantedStore(8, "stores_planted_ok.bin",
+                               {{{0.1, 0.2, 0.3, 0.4, 0.5}, 0, 0.1},
+                                {{0.6, 0.5, 0.4, 0.3, 0.2}, 1, 0.2}})
+                  .ok());
+}
+
+TEST(Persistence, LoadRejectsANanCoordinate) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(LoadPlantedStore(8, "stores_nan.bin",
+                             {{{0.1, 0.2, 0.3, 0.4, 0.5}, 0, 0.1},
+                              {{nan, 0.5, 0.5, 0.5, 0.5}, 1, 0.5}})
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(Persistence, LoadRejectsAWrongF) {
+  // Sorted by the recorded f, but the second point's true minimum is 0.3:
+  // Obs. 5 would prune it (and its dominatees) on a wrong bound.
+  EXPECT_EQ(LoadPlantedStore(8, "stores_wrong_f.bin",
+                             {{{0.1, 0.2, 0.3, 0.4, 0.5}, 0, 0.1},
+                              {{0.3, 0.4, 0.5, 0.6, 0.7}, 1, 0.2}})
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(Persistence, LoadRejectsADuplicateId) {
+  EXPECT_EQ(LoadPlantedStore(8, "stores_duplicate_id.bin",
+                             {{{0.1, 0.2, 0.3, 0.4, 0.5}, 7, 0.1},
+                              {{0.6, 0.5, 0.4, 0.3, 0.2}, 7, 0.2}})
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(Persistence, LoadIntoPreprocessedNetworkFails) {

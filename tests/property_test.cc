@@ -280,10 +280,10 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PropertyTest,
                          ::testing::Combine(::testing::Values(2, 3, 5, 8),
                                             ::testing::Bool()),
                          [](const auto& info) {
-                           return "d" +
-                                  std::to_string(std::get<0>(info.param)) +
-                                  (std::get<1>(info.param) ? "_grid"
-                                                           : "_cont");
+                           std::string name = "d";
+                           name += std::to_string(std::get<0>(info.param));
+                           name += std::get<1>(info.param) ? "_grid" : "_cont";
+                           return name;
                          });
 
 }  // namespace

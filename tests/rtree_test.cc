@@ -331,10 +331,14 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(5, 400, 16, false),
                       std::make_tuple(8, 120, 6, false)),
     [](const auto& info) {
-      return "d" + std::to_string(std::get<0>(info.param)) + "_n" +
-             std::to_string(std::get<1>(info.param)) + "_m" +
-             std::to_string(std::get<2>(info.param)) +
-             (std::get<3>(info.param) ? "_grid" : "_cont");
+      std::string name = "d";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_n";
+      name += std::to_string(std::get<1>(info.param));
+      name += "_m";
+      name += std::to_string(std::get<2>(info.param));
+      name += std::get<3>(info.param) ? "_grid" : "_cont";
+      return name;
     });
 
 }  // namespace
@@ -416,8 +420,11 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RTreeBulkLoadTest,
                                             ::testing::Values(1, 15, 64,
                                                               1000, 5000)),
                          [](const auto& info) {
-                           return "d" + std::to_string(std::get<0>(info.param)) +
-                                  "_n" + std::to_string(std::get<1>(info.param));
+                           std::string name = "d";
+                           name += std::to_string(std::get<0>(info.param));
+                           name += "_n";
+                           name += std::to_string(std::get<1>(info.param));
+                           return name;
                          });
 
 TEST(RTreeBulkLoad, EmptyLoad) {

@@ -110,15 +110,11 @@ TEST(SuperPeerUnit, RemoveRebuildsStore) {
   SuperPeer sp(0, 4, WireModel{});
   sp.set_retain_peer_lists(true);
   Rng rng(10);
-  PointSet keep = GenerateUniform(4, 60, &rng, 0);
+  // Ids from 1: the origin below takes id 0.
+  PointSet keep = GenerateUniform(4, 60, &rng, 1);
   sp.AddPeerList(0, ExtendedSkyline(keep));
   // A dominating peer whose departure must resurrect `keep`'s points.
-  PointSet dominator(4, {{0, 0, 0, 0}});
-  {
-    PointSet with_id(4);
-    with_id.Append(dominator[0], 9999);
-    sp.AddPeerList(1, ExtendedSkyline(with_id));
-  }
+  sp.AddPeerList(1, ExtendedSkyline(PointSet(4, {{0, 0, 0, 0}})));
   sp.FinalizePreprocessing();
   ASSERT_EQ(sp.store().size(), 1u);  // The origin ext-dominates everything.
 
