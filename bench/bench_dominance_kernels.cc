@@ -10,7 +10,13 @@
 // `AnyDominates` for k <= 8 at window >= 256. Queries are taken near the
 // origin so no window point dominates them: every call scans the full
 // window, which is the worst case Algorithm 1 pays per accepted skyline
-// point and the case the blocked kernels target.
+// point and the case the blocked kernels target. `FirstDominator` rows
+// plant the only dominator in the last lane, so they also scan the whole
+// window and then locate the hit.
+//
+// The `Bnl` rows time a whole BNL skyline over anti-correlated data
+// (Baseline: the per-pair `Dominates` loop BNL ran before it moved onto
+// the blocked window; Dispatch: `BnlSkyline`), reported per input point.
 
 #include <benchmark/benchmark.h>
 
@@ -18,11 +24,13 @@
 #include <cstdint>
 #include <vector>
 
+#include "skypeer/algo/bnl.h"
 #include "skypeer/common/dominance.h"
 #include "skypeer/common/dominance_batch.h"
 #include "skypeer/common/mapping.h"
 #include "skypeer/common/rng.h"
 #include "skypeer/common/subspace.h"
+#include "skypeer/data/generator.h"
 
 namespace skypeer {
 namespace {
@@ -95,6 +103,22 @@ void BM_AnyDominates_Scalar(benchmark::State& state) {
 
 void BM_AnyDominates_Dispatch(benchmark::State& state) {
   BM_AnyDominates_Blocked<false>(state);
+}
+
+void BM_FirstDominator_Dispatch(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  const size_t n = static_cast<size_t>(state.range(1));
+  std::vector<double> rows = RandomRows(k, n, 19);
+  // Rows lie in [0.5, 1): only the planted last row dominates q.
+  for (int d = 0; d < k; ++d) {
+    rows[(n - 1) * static_cast<size_t>(k) + d] = 0.25;
+  }
+  const BlockedProjection proj = ToBlocked(rows, k);
+  const std::vector<double> q(static_cast<size_t>(k), 0.5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(FirstDominator(proj, q.data(), false));
+  }
+  state.SetItemsProcessed(state.iterations() * n);
 }
 
 void BM_DominatedMask_Baseline(benchmark::State& state) {
@@ -175,6 +199,65 @@ void BM_MinCoord_Dispatch(benchmark::State& state) {
   BM_MinCoord_Blocked<false>(state);
 }
 
+PointSet AnticorrelatedInput(int k, size_t n) {
+  Rng rng(37);
+  return GenerateAnticorrelated(k, n, &rng);
+}
+
+void BM_Bnl_Baseline(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  const size_t n = static_cast<size_t>(state.range(1));
+  const PointSet input = AnticorrelatedInput(k, n);
+  const Subspace u = Subspace::FullSpace(k);
+  std::vector<size_t> window;
+  for (auto _ : state) {
+    window.clear();
+    for (size_t i = 0; i < n; ++i) {
+      const double* p = input[i];
+      bool dominated = false;
+      size_t kept = 0;
+      for (size_t w = 0; w < window.size(); ++w) {
+        const double* q = input[window[w]];
+        if (Dominates(q, p, u)) {
+          dominated = true;
+          for (; w < window.size(); ++w) {
+            window[kept++] = window[w];
+          }
+          break;
+        }
+        if (!Dominates(p, q, u)) {
+          window[kept++] = window[w];
+        }
+      }
+      window.resize(kept);
+      if (!dominated) {
+        window.push_back(i);
+      }
+    }
+    benchmark::DoNotOptimize(window.data());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+
+void BM_Bnl_Dispatch(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  const size_t n = static_cast<size_t>(state.range(1));
+  const PointSet input = AnticorrelatedInput(k, n);
+  const Subspace u = Subspace::FullSpace(k);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BnlSkyline(input, u));
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+
+void BnlGrid(benchmark::internal::Benchmark* b) {
+  for (int k : {2, 3, 5}) {
+    for (int n : {1024, 4096}) {
+      b->Args({k, n});
+    }
+  }
+}
+
 void KernelGrid(benchmark::internal::Benchmark* b) {
   for (int k : {1, 2, 3, 5, 8}) {
     for (int window : {64, 256, 1024, 4096}) {
@@ -186,12 +269,15 @@ void KernelGrid(benchmark::internal::Benchmark* b) {
 BENCHMARK(BM_AnyDominates_Baseline)->Apply(KernelGrid);
 BENCHMARK(BM_AnyDominates_Scalar)->Apply(KernelGrid);
 BENCHMARK(BM_AnyDominates_Dispatch)->Apply(KernelGrid);
+BENCHMARK(BM_FirstDominator_Dispatch)->Apply(KernelGrid);
 BENCHMARK(BM_DominatedMask_Baseline)->Apply(KernelGrid);
 BENCHMARK(BM_DominatedMask_Scalar)->Apply(KernelGrid);
 BENCHMARK(BM_DominatedMask_Dispatch)->Apply(KernelGrid);
 BENCHMARK(BM_MinCoord_Baseline)->Apply(KernelGrid);
 BENCHMARK(BM_MinCoord_Scalar)->Apply(KernelGrid);
 BENCHMARK(BM_MinCoord_Dispatch)->Apply(KernelGrid);
+BENCHMARK(BM_Bnl_Baseline)->Apply(BnlGrid);
+BENCHMARK(BM_Bnl_Dispatch)->Apply(BnlGrid);
 
 }  // namespace
 }  // namespace skypeer

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -258,6 +259,7 @@ SkylineAccumulator::SkylineAccumulator(int dims, Subspace u,
       strict_(options.ext),
       compact_min_window_(options.compact_min_window),
       compact_live_fraction_(options.compact_live_fraction),
+      full_space_(u == Subspace::FullSpace(dims)),
       threshold_(options.initial_threshold),
       window_points_(dims),
       window_proj_(u.Count()) {
@@ -296,19 +298,22 @@ void SkylineAccumulator::EvictDominatedLinear(
 bool SkylineAccumulator::OfferTagged(const double* p, PointId id, double f,
                                      uint64_t tag,
                                      std::vector<uint64_t>* evicted_tags) {
-  // Project onto the query subspace once.
-  double proj[kMaxDims];
-  {
-    int j = 0;
-    for (int dim : u_) {
-      proj[j++] = p[dim];
-    }
-  }
-
   // Observation 5: beyond the threshold the point is dominated by the
   // skyline point that set the threshold. (Ties may survive; see header.)
   if (f > threshold_) {
     return false;
+  }
+
+  // Project onto the query subspace once, tracking the projected minimum.
+  double proj[kMaxDims];
+  double min_u = std::numeric_limits<double>::infinity();
+  {
+    int j = 0;
+    for (int dim : u_) {
+      proj[j] = p[dim];
+      min_u = std::min(min_u, proj[j]);
+      ++j;
+    }
   }
 
   // Killed lanes are +inf and never dominate, so the batched test needs
@@ -316,6 +321,15 @@ bool SkylineAccumulator::OfferTagged(const double* p, PointId id, double f,
   // kernel's internal lane count, so scalar and SIMD dispatch report
   // identical work.
   ops_.dominance_tests += window_points_.size();
+  // Exact pre-rejection: the accepted offer t with dist_U(t) ==
+  // local_threshold_ has every u-coordinate <= local_threshold_ < min_u,
+  // so it strictly dominates p on u. t, or the end of its chain of
+  // evictors (each coordinate-wise <= t), is live in the window, so the
+  // kernel would reject p too. Full-space accumulators skip the test:
+  // there min_u == f <= threshold_ <= local_threshold_.
+  if (!full_space_ && min_u > local_threshold_) {
+    return false;
+  }
   if (AnyDominates(window_proj_, proj, strict_)) {
     return false;
   }
@@ -332,7 +346,8 @@ bool SkylineAccumulator::OfferTagged(const double* p, PointId id, double f,
 
   // A dominator has dist_U no larger than any point it dominates, so the
   // minimum only ever decreases; track it incrementally.
-  threshold_ = std::min(threshold_, DistU(p, u_));
+  local_threshold_ = std::min(local_threshold_, DistU(p, u_));
+  threshold_ = std::min(threshold_, local_threshold_);
   return true;
 }
 
@@ -403,6 +418,8 @@ ResultList SkylineAccumulator::TakeResult() {
   window_tags_.clear();
   window_proj_.Clear();
   alive_ = 0;
+  // The pre-rejection proof needs the accepted points in the window.
+  local_threshold_ = std::numeric_limits<double>::infinity();
   return result;
 }
 

@@ -213,8 +213,12 @@ class SkylineAccumulator {
   size_t window_size() const { return window_points_.size(); }
 
   /// Logical operations performed by all offers so far. Dominance tests
-  /// count the window entries examined per offer (not kernel-internal
-  /// work), independent of kernel dispatch.
+  /// count the logical window slots each offer within the threshold is
+  /// tested against (not kernel-internal work), independent of kernel
+  /// dispatch — and charged the same when the host settles an offer
+  /// without running the kernel (an exact pre-rejection: the offer's
+  /// u-minimum lies above the dist_U of an accepted offer, so a live
+  /// window entry provably dominates it).
   const OpCounts& ops() const { return ops_; }
 
   /// Extracts the result, sorted ascending by `f` (insertion order with
@@ -248,7 +252,13 @@ class SkylineAccumulator {
   bool strict_;
   size_t compact_min_window_;
   double compact_live_fraction_;
+  bool full_space_;  // u covers all `dims_` dimensions
   double threshold_;
+  // min dist_U over accepted offers only — never the initial threshold
+  // (set by another node's point, which is not in this window) nor
+  // seeds. Any offer whose u-minimum exceeds it is dominated by a live
+  // window entry, which lets `OfferTagged` settle it without the kernel.
+  double local_threshold_ = std::numeric_limits<double>::infinity();
 
   // Candidate window: points appended in offer order; `alive_flags_[i]`
   // clears when candidate i is evicted by a later dominator, and

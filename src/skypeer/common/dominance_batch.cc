@@ -24,8 +24,8 @@ constexpr size_t kW = kDomBlockWidth;
 /// raw block data plus the logical point count (padding lanes are +inf).
 struct KernelTable {
   DomKernelMode mode;
-  bool (*any_dominates)(const double* blocks, size_t n, int k, const double* q,
-                        bool strict);
+  size_t (*first_dominator)(const double* blocks, size_t n, int k,
+                            const double* q, bool strict);
   void (*dominated_mask)(const double* blocks, size_t n, int k,
                          const double* p, bool strict, uint8_t* out_masks);
   bool (*any_dominates_rows)(const double* rows, size_t stride, size_t n,
@@ -38,48 +38,65 @@ struct KernelTable {
 
 // --- scalar / compiler-vectorizable blocked loops ---------------------------
 
-bool ScalarAnyDominates(const double* blocks, size_t n, int k, const double* q,
-                        bool strict) {
-  const size_t num_blocks = (n + kW - 1) / kW;
-  for (size_t b = 0; b < num_blocks; ++b) {
-    const double* block = blocks + b * kW * static_cast<size_t>(k);
-    // Padding and killed lanes are +inf: they fail `<= q[d]` and `< q[d]`
-    // on every dimension, so all 8 lanes can run unconditionally.
-    uint8_t dom[kW];
-    uint8_t lt[kW];
-    for (size_t l = 0; l < kW; ++l) {
-      dom[l] = 1;
-      lt[l] = 0;
-    }
-    for (int d = 0; d < k; ++d) {
-      const double* row = block + static_cast<size_t>(d) * kW;
-      const double qd = q[d];
-      uint8_t live = 0;
-      if (strict) {
-        for (size_t l = 0; l < kW; ++l) {
-          dom[l] &= static_cast<uint8_t>(row[l] < qd);
-          live |= dom[l];
-        }
-      } else {
-        for (size_t l = 0; l < kW; ++l) {
-          dom[l] &= static_cast<uint8_t>(row[l] <= qd);
-          lt[l] |= static_cast<uint8_t>(row[l] < qd);
-          live |= dom[l];
-        }
+/// 8-bit lane mask of one block: bit l set when lane l dominates `q`.
+/// Padding and killed lanes are +inf: they fail `<= q[d]` and `< q[d]`
+/// on every dimension, so all 8 lanes run unconditionally.
+inline int BlockDomMaskScalar(const double* block, int k, const double* q,
+                              bool strict) {
+  uint8_t dom[kW];
+  uint8_t lt[kW];
+  for (size_t l = 0; l < kW; ++l) {
+    dom[l] = 1;
+    lt[l] = 0;
+  }
+  for (int d = 0; d < k; ++d) {
+    const double* row = block + static_cast<size_t>(d) * kW;
+    const double qd = q[d];
+    uint8_t live = 0;
+    if (strict) {
+      for (size_t l = 0; l < kW; ++l) {
+        dom[l] &= static_cast<uint8_t>(row[l] < qd);
+        live |= dom[l];
       }
-      if (!live) {
-        break;
+    } else {
+      for (size_t l = 0; l < kW; ++l) {
+        dom[l] &= static_cast<uint8_t>(row[l] <= qd);
+        lt[l] |= static_cast<uint8_t>(row[l] < qd);
+        live |= dom[l];
       }
     }
-    uint8_t any = 0;
-    for (size_t l = 0; l < kW; ++l) {
-      any |= static_cast<uint8_t>(dom[l] & (strict ? 1 : lt[l]));
-    }
-    if (any) {
-      return true;
+    if (!live) {
+      return 0;
     }
   }
-  return false;
+  int mask = 0;
+  for (size_t l = 0; l < kW; ++l) {
+    mask |= (dom[l] & (strict ? 1 : lt[l])) << l;
+  }
+  return mask;
+}
+
+/// Stored index of the lowest set lane of block `b`'s non-zero mask.
+/// Padding lanes are +inf, which dominates no query (not even an
+/// all-+inf one: non-strict dominance also needs a strictly smaller
+/// coordinate), so the lane is always below the stored size.
+inline size_t LowestLane(size_t b, int mask) {
+  return b * kW +
+         static_cast<size_t>(__builtin_ctz(static_cast<unsigned>(mask)));
+}
+
+size_t ScalarFirstDominator(const double* blocks, size_t n, int k,
+                            const double* q, bool strict) {
+  const size_t num_blocks = (n + kW - 1) / kW;
+  for (size_t b = 0; b < num_blocks; ++b) {
+    const int mask =
+        BlockDomMaskScalar(blocks + b * kW * static_cast<size_t>(k), k, q,
+                           strict);
+    if (mask != 0) {
+      return LowestLane(b, mask);
+    }
+  }
+  return n;
 }
 
 void ScalarDominatedMask(const double* blocks, size_t n, int k,
@@ -201,7 +218,7 @@ void ScalarMinCoord(const double* rows, size_t n, int dims, double* out) {
 }
 
 constexpr KernelTable kScalarTable = {
-    DomKernelMode::kScalar,     ScalarAnyDominates,
+    DomKernelMode::kScalar,     ScalarFirstDominator,
     ScalarDominatedMask,        ScalarAnyDominatesRows,
     ScalarDominatedFlagsRows,   ScalarMinCoord,
 };
@@ -244,20 +261,18 @@ __attribute__((target("avx2"))) inline int BlockDomMaskAvx2(
   return _mm256_movemask_pd(dom_lo) | (_mm256_movemask_pd(dom_hi) << 4);
 }
 
-__attribute__((target("avx2"))) bool Avx2AnyDominates(const double* blocks,
-                                                      size_t n, int k,
-                                                      const double* q,
-                                                      bool strict) {
+__attribute__((target("avx2"))) size_t Avx2FirstDominator(
+    const double* blocks, size_t n, int k, const double* q, bool strict) {
   const size_t num_blocks = (n + kW - 1) / kW;
   for (size_t b = 0; b < num_blocks; ++b) {
     const double* block = blocks + b * kW * static_cast<size_t>(k);
     const int mask = strict ? BlockDomMaskAvx2<true>(block, k, q)
                             : BlockDomMaskAvx2<false>(block, k, q);
     if (mask != 0) {
-      return true;
+      return LowestLane(b, mask);
     }
   }
-  return false;
+  return n;
 }
 
 /// Bit l set when p dominates the block's lane l (reverse direction of
@@ -400,7 +415,7 @@ __attribute__((target("avx2"))) void Avx2DominatedFlagsRows(
 // blocked loop at every k <= 16 (bench_dominance_kernels, MinCoord
 // rows). The result is bitwise the same either way.
 constexpr KernelTable kAvx2Table = {
-    DomKernelMode::kAvx2,     Avx2AnyDominates,
+    DomKernelMode::kAvx2,     Avx2FirstDominator,
     Avx2DominatedMask,        Avx2AnyDominatesRows,
     Avx2DominatedFlagsRows,   ScalarMinCoord,
 };
@@ -447,16 +462,17 @@ inline int BlockDomMaskNeon(const double* block, int k, const double* q,
   return mask;
 }
 
-bool NeonAnyDominates(const double* blocks, size_t n, int k, const double* q,
-                      bool strict) {
+size_t NeonFirstDominator(const double* blocks, size_t n, int k,
+                          const double* q, bool strict) {
   const size_t num_blocks = (n + kW - 1) / kW;
   for (size_t b = 0; b < num_blocks; ++b) {
-    if (BlockDomMaskNeon(blocks + b * kW * static_cast<size_t>(k), k, q,
-                         strict) != 0) {
-      return true;
+    const int mask = BlockDomMaskNeon(
+        blocks + b * kW * static_cast<size_t>(k), k, q, strict);
+    if (mask != 0) {
+      return LowestLane(b, mask);
     }
   }
-  return false;
+  return n;
 }
 
 inline int BlockRevDomMaskNeon(const double* block, int k, const double* p,
@@ -508,7 +524,7 @@ void NeonDominatedMask(const double* blocks, size_t n, int k, const double* p,
 }
 
 constexpr KernelTable kNeonTable = {
-    DomKernelMode::kNeon,       NeonAnyDominates,
+    DomKernelMode::kNeon,       NeonFirstDominator,
     NeonDominatedMask,          ScalarAnyDominatesRows,
     ScalarDominatedFlagsRows,   ScalarMinCoord,
 };
@@ -573,11 +589,16 @@ void SetForceScalarKernels(bool force) {
   }
 }
 
-bool AnyDominates(const BlockedProjection& w, const double* q, bool strict) {
+size_t FirstDominator(const BlockedProjection& w, const double* q,
+                      bool strict) {
   if (w.empty()) {
-    return false;
+    return 0;
   }
-  return Table()->any_dominates(w.BlockData(0), w.size(), w.k(), q, strict);
+  return Table()->first_dominator(w.BlockData(0), w.size(), w.k(), q, strict);
+}
+
+bool AnyDominates(const BlockedProjection& w, const double* q, bool strict) {
+  return FirstDominator(w, q, strict) < w.size();
 }
 
 void DominatedMask(const BlockedProjection& w, const double* p, bool strict,

@@ -139,11 +139,17 @@ const char* DomKernelModeName(DomKernelMode mode);
 /// process-wide.
 void SetForceScalarKernels(bool force);
 
-/// True if some stored point of `w` dominates `q` (`k()` coordinates) —
-/// strictly on every dimension when `strict` (ext-dominance), the usual
-/// `<= everywhere, < somewhere` otherwise. Killed and padding lanes are
-/// `+inf` and never dominate. Equivalent to OR-ing `Dominates(p_i, q)`
-/// over all stored points; evaluated blockwise with early exit.
+/// Lowest stored index `i` of `w` whose point dominates `q` (`k()`
+/// coordinates), or `w.size()` when none does — strictly on every
+/// dimension when `strict` (ext-dominance), the usual `<= everywhere,
+/// < somewhere` otherwise. Killed and padding lanes are `+inf` and never
+/// dominate. Equivalent to the first `i` for which `Dominates(p_i, q)`
+/// holds; evaluated blockwise, stopping at the first block with a hit.
+size_t FirstDominator(const BlockedProjection& w, const double* q,
+                      bool strict);
+
+/// True if some stored point of `w` dominates `q`:
+/// `FirstDominator(w, q, strict) < w.size()`.
 bool AnyDominates(const BlockedProjection& w, const double* q, bool strict);
 
 /// For every stored point `i`, sets bit `i % 8` of `out_masks[i / 8]` to

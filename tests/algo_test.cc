@@ -250,6 +250,96 @@ TEST(SkylineAccumulator, LargeAnticorrelatedWindowMatchesOracles) {
   EXPECT_EQ(scanned, SortedIds(SfsSkyline(data, u)));
 }
 
+// --- exact pre-rejection --------------------------------------------------
+//
+// A subspace accumulator settles an offer without the kernel when the
+// offer's u-minimum exceeds the smallest dist_U of an offer it accepted.
+// These cases pin down which thresholds may feed that test.
+
+TEST(SkylineAccumulator, IncomingThresholdDoesNotPreReject) {
+  // p's u-minimum (0.5) is above the incoming threshold (0.3), but its f
+  // (0.1) is not, and no local point dominates p: p must stay. Feeding
+  // the incoming threshold into the pre-rejection would drop it.
+  const Subspace u = Subspace::FromDims({0, 1});
+  PointSet data(3, {{0.5, 0.6, 0.1},     // f=0.1, min_u=0.5
+                    {0.9, 0.2, 0.15}});  // f=0.15, min_u=0.2
+  const ResultList sorted = BuildSortedByF(data);
+  ThresholdScanOptions options;
+  options.initial_threshold = 0.3;
+  ThresholdScanStats stats;
+  const ResultList result = SortedSkyline(sorted, u, options, &stats);
+  EXPECT_EQ(SortedIds(result.points), (std::vector<PointId>{0, 1}));
+  EXPECT_EQ(stats.scanned, 2u);
+  // Offer 1 meets an empty window; offer 2 one slot, both directions.
+  EXPECT_EQ(stats.ops.dominance_tests, 2u);
+}
+
+TEST(SkylineAccumulator, FilterSeedsDoNotPreReject) {
+  // The seed's f (0.0) is below p's u-minimum (0.5), yet the seed does
+  // not dominate p on u (0.95 > 0.6): p must stay. Seeds prune only
+  // through the kernel, never through the pre-rejection.
+  const Subspace u = Subspace::FromDims({0, 1});
+  ResultList filter(3);
+  PointSet seed(3, {{0.1, 0.95, 0.0}});
+  filter.points.AppendAll(seed);
+  filter.f = {0.0};
+  PointSet data(3, {{0.5, 0.6, 0.2}});
+  const ResultList sorted = BuildSortedByF(data);
+  ThresholdScanOptions options;
+  options.filter = &filter;
+  ThresholdScanStats stats;
+  const ResultList result = SortedSkyline(sorted, u, options, &stats);
+  EXPECT_EQ(SortedIds(result.points), (std::vector<PointId>{0}));
+  // The one offer is tested against the seed both ways.
+  EXPECT_EQ(stats.ops.dominance_tests, 2u);
+}
+
+TEST(SkylineAccumulator, PreRejectionIsExactInExtMode) {
+  const Subspace u = Subspace::FromDims({0, 1});
+  ThresholdScanOptions options;
+  options.ext = true;
+  SkylineAccumulator acc(3, u, options);
+  const double t[] = {0.3, 0.3, 0.05};   // dist_U 0.3
+  const double tie[] = {0.3, 0.8, 0.1};  // u-minimum == 0.3: not strict
+  const double above[] = {0.4, 0.5, 0.2};  // strictly above t on u
+  EXPECT_TRUE(acc.Offer(t, 1, 0.05));
+  // t does not ext-dominate `tie` (equal first coordinate), and neither
+  // may the pre-rejection, whose bound is strict.
+  EXPECT_TRUE(acc.Offer(tie, 2, 0.1));
+  EXPECT_FALSE(acc.Offer(above, 3, 0.2));
+  // Logical window slots per offer: 0, then 1 + 1 (forward and evict
+  // passes), then 2 for the pre-rejected offer.
+  EXPECT_EQ(acc.ops().dominance_tests, 4u);
+  ResultList result = acc.TakeResult();
+  EXPECT_EQ(SortedIds(result.points), (std::vector<PointId>{1, 2}));
+}
+
+TEST(SkylineAccumulator, PreRejectionStaysExactAfterTheSetterIsEvicted) {
+  // t sets the local threshold (0.3), then e evicts t. An offer above the
+  // threshold is still rejected — e, t's evictor, dominates it — and an
+  // offer below it still reaches the kernel and survives.
+  const Subspace u = Subspace::FromDims({0, 1});
+  SkylineAccumulator acc(3, u, {});
+  const double t[] = {0.3, 0.3, 0.05};
+  const double e[] = {0.2, 0.3, 0.1};   // dominates t on u
+  const double p[] = {0.4, 0.5, 0.2};   // u-minimum 0.4 > 0.3
+  const double q[] = {0.25, 0.1, 0.2};  // incomparable to e
+  EXPECT_TRUE(acc.Offer(t, 1, 0.05));
+  EXPECT_TRUE(acc.Offer(e, 2, 0.1));
+  EXPECT_EQ(acc.alive(), 1u);
+  EXPECT_FALSE(acc.Offer(p, 3, 0.2));
+  EXPECT_TRUE(acc.Offer(q, 4, 0.2));
+  // Window slots: 0; 1 + 1; 2 (t's slot is dead but not compacted);
+  // 2 + 2.
+  EXPECT_EQ(acc.ops().dominance_tests, 8u);
+  ResultList result = acc.TakeResult();
+  EXPECT_EQ(SortedIds(result.points), (std::vector<PointId>{2, 4}));
+  PointSet offered(3, {{0.3, 0.3, 0.05}, {0.2, 0.3, 0.1}, {0.4, 0.5, 0.2},
+                       {0.25, 0.1, 0.2}});
+  EXPECT_EQ(ReferenceSkyline(offered, u, /*ext=*/false),
+            (std::vector<PointId>{1, 3}));  // ids are 0-based here
+}
+
 TEST(SkylineAccumulator, TakeResultResetsState) {
   ThresholdScanOptions options;
   SkylineAccumulator acc(2, Subspace::FullSpace(2), options);

@@ -1,12 +1,15 @@
 // Equivalence suite for the batched dominance kernels: every batched
 // result must match the scalar dominance.h predicates lane by lane, for
 // both the forced-scalar and the runtime-dispatched implementation, on
-// sizes that exercise partial final blocks and killed lanes.
+// sizes that exercise partial final blocks and killed lanes. BNL, which
+// runs on these kernels, must match the classic per-pair loop exactly.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "skypeer/algo/bnl.h"
@@ -16,7 +19,10 @@
 #include "skypeer/common/dominance_batch.h"
 #include "skypeer/common/mapping.h"
 #include "skypeer/common/rng.h"
+#include "skypeer/common/thread_pool.h"
 #include "skypeer/data/generator.h"
+#include "skypeer/storage/buffer_manager.h"
+#include "skypeer/storage/paged_store.h"
 
 namespace skypeer {
 namespace {
@@ -144,6 +150,61 @@ TEST_P(KernelEquivalenceTest, KilledLanesNeverDominate) {
   }
 }
 
+TEST_P(KernelEquivalenceTest, FirstDominatorMatchesScalarSearch) {
+  ScopedKernelMode mode(force_scalar());
+  for (int k : kDimSweep) {
+    const Subspace full = Subspace::FullSpace(k);
+    for (size_t n : kSizeSweep) {
+      for (bool gridded : {false, true}) {
+        for (bool kill : {false, true}) {
+          const uint64_t seed = 3000 * k + 10 * n + gridded;
+          PointSet window = RandomPoints(k, n, seed, gridded);
+          BlockedProjection blocked(k);
+          for (size_t i = 0; i < n; ++i) {
+            blocked.Append(window[i]);
+          }
+          std::vector<bool> alive(n, true);
+          if (kill) {
+            for (size_t i = 1; i < n; i += 3) {
+              blocked.Kill(i);
+              alive[i] = false;
+            }
+          }
+          // Random queries, plus every window point itself (a hit at or
+          // before its own lane under non-strict dominance when raised).
+          PointSet queries = RandomPoints(k, 24, seed ^ 0x5eed, gridded);
+          for (size_t i = 0; i < n; ++i) {
+            double raised[kMaxDims];
+            for (int d = 0; d < k; ++d) {
+              raised[d] = window[i][d] + (d == 0 ? 0.125 : 0.0);
+            }
+            queries.Append(window[i], 0);
+            queries.Append(raised, 0);
+          }
+          for (size_t qi = 0; qi < queries.size(); ++qi) {
+            const double* q = queries[qi];
+            for (bool strict : {false, true}) {
+              size_t expect = n;
+              for (size_t i = 0; i < n && expect == n; ++i) {
+                if (alive[i] && (strict ? ExtDominates(window[i], q, full)
+                                        : Dominates(window[i], q, full))) {
+                  expect = i;
+                }
+              }
+              const size_t got = FirstDominator(blocked, q, strict);
+              EXPECT_EQ(got, expect) << "k=" << k << " n=" << n
+                                     << " kill=" << kill
+                                     << " strict=" << strict;
+              EXPECT_EQ(AnyDominates(blocked, q, strict),
+                        got < blocked.size());
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST_P(KernelEquivalenceTest, BatchMinCoordBitwiseEqual) {
   ScopedKernelMode mode(force_scalar());
   for (int dims : kDimSweep) {
@@ -156,6 +217,144 @@ TEST_P(KernelEquivalenceTest, BatchMinCoordBitwiseEqual) {
         // Bitwise equality, not just numeric: f-values feed sort keys and
         // thresholds that must not depend on the kernel path.
         EXPECT_EQ(batched[i], expect) << "dims=" << dims << " i=" << i;
+      }
+    }
+  }
+}
+
+// The classic per-pair BNL loop, kept here as the reference the blocked
+// window must reproduce: for each window entry in order, test "entry
+// dominates p" (stop when it does), then "p dominates entry" (evict).
+PointSet PerPairBnl(const PointSet& input, Subspace u, bool ext,
+                    uint64_t* tests) {
+  std::vector<size_t> window;
+  for (size_t i = 0; i < input.size(); ++i) {
+    const double* p = input[i];
+    bool dominated = false;
+    size_t kept = 0;
+    for (size_t w = 0; w < window.size(); ++w) {
+      const double* q = input[window[w]];
+      ++*tests;
+      if (ext ? ExtDominates(q, p, u) : Dominates(q, p, u)) {
+        dominated = true;
+        for (; w < window.size(); ++w) {
+          window[kept++] = window[w];
+        }
+        break;
+      }
+      ++*tests;
+      if (ext ? ExtDominates(p, q, u) : Dominates(p, q, u)) {
+        continue;
+      }
+      window[kept++] = window[w];
+    }
+    window.resize(kept);
+    if (!dominated) {
+      window.push_back(i);
+    }
+  }
+  PointSet result(input.dims());
+  for (size_t i : window) {
+    result.AppendFrom(input, i);
+  }
+  return result;
+}
+
+/// BNL inputs: uniform, anti-correlated and gridded (tie-heavy) data, each
+/// with duplicated points appended, plus an ascending-quality stream in
+/// which nearly every point evicts its predecessors, so evicted slots
+/// pile up past the window's compaction size.
+std::vector<std::pair<std::string, PointSet>> BnlInputs(int dims) {
+  std::vector<std::pair<std::string, PointSet>> inputs;
+  Rng rng(40 + dims);
+  inputs.emplace_back("uniform", GenerateUniform(dims, 700, &rng));
+  inputs.emplace_back("anticorrelated",
+                      GenerateAnticorrelated(dims, 900, &rng));
+  inputs.emplace_back("gridded", RandomPoints(dims, 600, 90 + dims, true));
+  for (auto& [name, data] : inputs) {
+    const size_t n = data.size();
+    for (size_t i = 0; i < n; i += 7) {
+      data.Append(data[i], static_cast<PointId>(n + i));
+    }
+  }
+  // Sorted by descending coordinate sum: later points tend to dominate
+  // many earlier candidates.
+  PointSet shuffled = GenerateUniform(dims, 900, &rng);
+  std::vector<size_t> order(shuffled.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  const auto sum = [&](size_t i) {
+    double total = 0.0;
+    for (int d = 0; d < dims; ++d) {
+      total += shuffled[i][d];
+    }
+    return total;
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return sum(a) > sum(b); });
+  shuffled.Permute(order);
+  inputs.emplace_back("descending-sum", std::move(shuffled));
+  return inputs;
+}
+
+void ExpectSamePoints(const PointSet& got, const PointSet& expect,
+                      const std::string& context) {
+  EXPECT_EQ(got.Ids(), expect.Ids()) << context;
+  EXPECT_EQ(got.values(), expect.values()) << context;
+}
+
+TEST_P(KernelEquivalenceTest, BnlMatchesPerPairLoop) {
+  ScopedKernelMode mode(force_scalar());
+  for (int dims : {1, 2, 4, 6}) {
+    for (const auto& [name, data] : BnlInputs(dims)) {
+      for (int k = 1; k <= dims; ++k) {
+        // The first k dimensions, and the last k.
+        std::vector<int> head(static_cast<size_t>(k));
+        std::iota(head.begin(), head.end(), 0);
+        std::vector<int> tail(static_cast<size_t>(k));
+        std::iota(tail.begin(), tail.end(), dims - k);
+        for (Subspace u :
+             {Subspace::FromDims(head), Subspace::FromDims(tail)}) {
+          for (bool ext : {false, true}) {
+            const std::string context = name + " d" + std::to_string(dims) +
+                                        " u=" + u.ToString() +
+                                        (ext ? " ext" : "");
+            uint64_t ref_tests = 0;
+            const PointSet expect = PerPairBnl(data, u, ext, &ref_tests);
+            OpCounts ops;
+            ExpectSamePoints(BnlSkyline(data, u, ext, &ops), expect, context);
+            EXPECT_EQ(ops.dominance_tests, ref_tests) << context;
+            EXPECT_EQ(ops.scan_steps, data.size()) << context;
+
+            // Store views run on the f-sorted store, resident and paged.
+            const ResultList sorted = BuildSortedByF(data);
+            uint64_t store_tests = 0;
+            const PointSet store_expect =
+                PerPairBnl(sorted.points, u, ext, &store_tests);
+            const size_t page_size = 4096;
+            OpCounts expect_ops;
+            expect_ops.dominance_tests = store_tests;
+            expect_ops.scan_steps = sorted.size();
+            ChargeScanPages(PageLayout(page_size, dims), sorted.size(),
+                            sorted.size(), &expect_ops);
+            OpCounts resident_ops;
+            ExpectSamePoints(
+                BnlSkylineView(StoreView(&sorted, page_size), u, ext,
+                               &resident_ops),
+                store_expect, context + " resident");
+            EXPECT_TRUE(resident_ops == expect_ops)
+                << context << "\n  got:    " << resident_ops.ToString()
+                << "\n  expect: " << expect_ops.ToString();
+            BufferManager buffer(page_size, 4, ThreadPool::Global());
+            const PagedStore paged = PagedStore::Build(sorted, &buffer);
+            OpCounts paged_ops;
+            ExpectSamePoints(
+                BnlSkylineView(StoreView(&paged), u, ext, &paged_ops),
+                store_expect, context + " paged");
+            EXPECT_TRUE(paged_ops == expect_ops)
+                << context << "\n  got:    " << paged_ops.ToString()
+                << "\n  expect: " << expect_ops.ToString();
+          }
+        }
       }
     }
   }
