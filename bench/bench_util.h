@@ -39,8 +39,8 @@ namespace skypeer::bench {
 ///                  pages behind a pinning buffer manager of N frames
 ///                  (N >= 2; default 0 = in-memory); all metrics are
 ///                  identical either way
-///   --cache-cap N  bound the per-subspace trace cache to N entries with
-///                  LRU eviction (default 0 = unbounded)
+///   --cache-cap N  bound the per-subspace trace cache (on by default) to
+///                  N entries with LRU eviction (default 0 = unbounded)
 ///   --churn-events N schedule N seeded membership changes (join/leave/
 ///                  replace) spread over the run's queries (default 0 =
 ///                  no churn); implies dynamic membership

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -21,16 +23,23 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// Growable event buffers of a traced scan, packed into a `ScanTrace`
+/// once the scan ends.
+struct TraceRecorder {
+  std::vector<ScanTrace::Accept> accepts;
+  std::vector<uint32_t> seed_evictors;
+  std::vector<char> block_rejected;
+};
+
 /// Shared consume loop of every threshold-scan form: scans `input` in
 /// ascending order, offering each point whose `f` is within the
 /// accumulator's running threshold, and returns the number of points
 /// consumed. Scan-level charges (scan steps, page charges and — under
 /// block skipping — summary probes and skipped blocks) accumulate into
-/// `scan_ops`, kept apart from the accumulator's window-evolution ops so
-/// traced scans record replayable `cum_ops`.
-/// When `trace` is non-null, per-position events are recorded exactly as
-/// `TracedSortedSkyline` documents; eviction tags are scan positions and
-/// index the trace directly.
+/// `scan_ops`, kept apart from the accumulator's window-evolution ops.
+/// When `trace` is non-null, accept/evict events are recorded as
+/// `ScanTrace` documents; offers are tagged with the accept index they
+/// get if accepted, so eviction tags index the records directly.
 ///
 /// With `block_skip` and a store summary attached, each 8-wide block is
 /// probed before its points: a block whose min-vector is dominated by a
@@ -41,15 +50,12 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 /// charges then switch from the whole-prefix `ChargeScanPages` to
 /// incremental per-page touches, so pages covered only by wholesale-
 /// skipped blocks are never charged (nor pinned on a paged store).
-size_t RunThresholdScanLoop(const StoreView& input, Subspace u,
-                            bool block_skip, SkylineAccumulator* acc,
-                            OpCounts* scan_ops, ScanTrace* trace) {
+size_t RunThresholdScanLoop(const StoreView& input, bool block_skip,
+                            SkylineAccumulator* acc, OpCounts* scan_ops,
+                            TraceRecorder* trace) {
   const size_t end = input.size();
   const StoreSummary* summary = input.summary();
   const bool skip = block_skip && summary != nullptr;
-  if (trace != nullptr) {
-    trace->block_skip = skip;
-  }
   StoreCursor cursor(input);
   std::vector<uint64_t> evicted;
   const auto consume = [&](size_t i, double f) {
@@ -60,14 +66,19 @@ size_t RunThresholdScanLoop(const StoreView& input, Subspace u,
       return;
     }
     evicted.clear();
-    const bool accepted = acc->OfferTagged(p, id, f, i, &evicted);
-    trace->accepted.push_back(accepted ? 1 : 0);
-    trace->dist_u.push_back(accepted ? DistU(p, u) : 0.0);
-    trace->evicted_at.push_back(ScanTrace::kNeverEvicted);
-    for (uint64_t victim : evicted) {
-      trace->evicted_at[victim] = i;
+    const uint32_t index = static_cast<uint32_t>(trace->accepts.size());
+    if (!acc->OfferTagged(p, id, f, index, &evicted)) {
+      return;
     }
-    trace->cum_ops.push_back(acc->ops());
+    for (uint64_t victim : evicted) {
+      if (victim == SkylineAccumulator::kNoTag) {
+        trace->seed_evictors.push_back(index);
+      } else {
+        trace->accepts[victim].evictor = index;
+      }
+    }
+    trace->accepts.push_back({static_cast<uint32_t>(i),
+                              ScanTrace::kNeverEvicted});
   };
 
   if (!skip) {
@@ -114,21 +125,6 @@ size_t RunThresholdScanLoop(const StoreView& input, Subspace u,
       last_page = page;
     }
   };
-  // Positions consumed without an offer still get trace entries — the
-  // exact entries the plain traced scan records for rejected points —
-  // so traces are position-aligned regardless of skipping.
-  const auto record_skipped = [&](size_t count) {
-    if (trace == nullptr) {
-      return;
-    }
-    for (size_t k = 0; k < count; ++k) {
-      trace->accepted.push_back(0);
-      trace->dist_u.push_back(0.0);
-      trace->evicted_at.push_back(ScanTrace::kNeverEvicted);
-      trace->cum_ops.push_back(acc->ops());
-    }
-  };
-
   size_t scanned = 0;
   size_t i = 0;
   while (i < end) {
@@ -154,7 +150,6 @@ size_t RunThresholdScanLoop(const StoreView& input, Subspace u,
         // steps, no page touch — and rejected points have no side
         // effects on window or threshold, so nothing downstream can
         // tell the offers never ran.
-        record_skipped(block_end - i);
         scanned += block_end - i;
         i = block_end;
         continue;
@@ -170,7 +165,6 @@ size_t RunThresholdScanLoop(const StoreView& input, Subspace u,
           stopped = true;
           break;
         }
-        record_skipped(1);
         scan_ops->scan_steps += 1;
         ++scanned;
       }
@@ -288,7 +282,7 @@ void SkylineAccumulator::EvictDominatedLinear(
       alive_flags_[i] = 0;
       window_proj_.Kill(i);
       --alive_;
-      if (evicted_tags != nullptr && window_tags_[i] != kNoTag) {
+      if (evicted_tags != nullptr) {
         evicted_tags->push_back(window_tags_[i]);
       }
     }
@@ -456,9 +450,8 @@ ResultList SortedSkyline(const StoreView& input, Subspace u,
     accumulator.SeedWindow(*options.filter);
   }
   OpCounts scan_ops;
-  const size_t scanned =
-      RunThresholdScanLoop(input, u, options.block_skip, &accumulator,
-                           &scan_ops, nullptr);
+  const size_t scanned = RunThresholdScanLoop(input, options.block_skip,
+                                              &accumulator, &scan_ops, nullptr);
   if (stats != nullptr) {
     stats->scanned = scanned;
     stats->final_threshold = accumulator.threshold();
@@ -467,6 +460,32 @@ ResultList SortedSkyline(const StoreView& input, Subspace u,
     stats->cpu_seconds = SecondsSince(start);
   }
   return accumulator.TakeResult();
+}
+
+ScanTrace::ScanTrace(const Header& header, const std::vector<Accept>& accepts,
+                     const std::vector<uint32_t>& seed_evictors,
+                     const std::vector<char>& block_rejected)
+    : header_(header),
+      num_accepts_(static_cast<uint32_t>(accepts.size())),
+      num_seed_evictions_(static_cast<uint32_t>(seed_evictors.size())),
+      num_probed_blocks_(static_cast<uint32_t>(block_rejected.size())) {
+  const size_t words = num_words();
+  if (words == 0) {
+    return;
+  }
+  words_ = std::make_unique<uint32_t[]>(words);  // zeroed: bitmap starts clear
+  uint32_t* out = words_.get();
+  for (const Accept& accept : accepts) {
+    *out++ = accept.position;
+    *out++ = accept.evictor;
+  }
+  std::copy(seed_evictors.begin(), seed_evictors.end(), out);
+  out += seed_evictors.size();
+  for (size_t b = 0; b < block_rejected.size(); ++b) {
+    if (block_rejected[b] != 0) {
+      out[b / 32] |= 1u << (b % 32);
+    }
+  }
 }
 
 ResultList TracedSortedSkyline(const StoreView& input, Subspace u,
@@ -474,26 +493,31 @@ ResultList TracedSortedSkyline(const StoreView& input, Subspace u,
                                ThresholdScanStats* stats, ScanTrace* trace) {
   SKYPEER_DCHECK(input.list() == nullptr || input.list()->IsSorted());
   SKYPEER_CHECK(trace != nullptr);
-  trace->threshold_in = options.initial_threshold;
-  trace->accepted.clear();
-  trace->dist_u.clear();
-  trace->evicted_at.clear();
-  trace->cum_ops.clear();
-  trace->block_skip = false;
-  trace->block_rejected.clear();
+  SKYPEER_CHECK(input.size() < ScanTrace::kNeverEvicted);
 
   const auto start = std::chrono::steady_clock::now();
   SkylineAccumulator accumulator(input.dims(), u, options);
+  ScanTrace::Header header;
+  header.threshold_in = options.initial_threshold;
+  header.mask = u.mask();
+  header.block_skip = options.block_skip && input.summary() != nullptr;
+  header.compact_min_window = options.compact_min_window;
+  header.compact_live_fraction = options.compact_live_fraction;
   if (options.filter != nullptr && !options.filter->empty()) {
     // The filter is baked into the recorded accept/evict decisions, so
     // replays need no filter knowledge — but a trace is only valid for
-    // scans under the *same* filter (the cache keys on its fingerprint).
+    // scans under the *same* filter.
     accumulator.SeedWindow(*options.filter);
+    header.seeds = static_cast<uint32_t>(options.filter->size());
   }
+  TraceRecorder recorder;
   OpCounts scan_ops;
-  const size_t scanned =
-      RunThresholdScanLoop(input, u, options.block_skip, &accumulator,
-                           &scan_ops, trace);
+  const size_t scanned = RunThresholdScanLoop(input, options.block_skip,
+                                              &accumulator, &scan_ops,
+                                              &recorder);
+  header.scanned = static_cast<uint32_t>(scanned);
+  *trace = ScanTrace(header, recorder.accepts, recorder.seed_evictors,
+                     recorder.block_rejected);
   if (stats != nullptr) {
     stats->scanned = scanned;
     stats->final_threshold = accumulator.threshold();
@@ -504,90 +528,222 @@ ResultList TracedSortedSkyline(const StoreView& input, Subspace u,
   return accumulator.TakeResult();
 }
 
+namespace {
+
+/// First position in [lo, hi) of f-sorted `input` whose `f` exceeds
+/// `threshold`, or `hi`. Resident stores search their `f` column; paged
+/// stores search the summary's block maxima and read only the one block
+/// the answer lies in.
+size_t FirstAbove(const StoreView& input, StoreCursor* cursor, size_t lo,
+                  size_t hi, double threshold) {
+  if (lo >= hi) {
+    return hi;
+  }
+  if (const ResultList* list = input.list()) {
+    return static_cast<size_t>(
+        std::upper_bound(list->f.begin() + static_cast<std::ptrdiff_t>(lo),
+                         list->f.begin() + static_cast<std::ptrdiff_t>(hi),
+                         threshold) -
+        list->f.begin());
+  }
+  // A paged store always carries its summary (built at spill time).
+  const StoreSummary* summary = input.summary();
+  SKYPEER_CHECK(summary != nullptr);
+  // Block maxima ascend with the f-sorted store: find the first block of
+  // the range whose maximum exceeds the threshold, then walk its lanes.
+  size_t block_lo = lo / kDomBlockWidth;
+  size_t block_hi = (hi - 1) / kDomBlockWidth + 1;
+  while (block_lo < block_hi) {
+    const size_t mid = block_lo + (block_hi - block_lo) / 2;
+    if (summary->block_f_max(mid) > threshold) {
+      block_hi = mid;
+    } else {
+      block_lo = mid + 1;
+    }
+  }
+  const size_t begin = std::max(lo, block_lo * kDomBlockWidth);
+  const size_t end = std::min(hi, (block_lo + 1) * kDomBlockWidth);
+  for (size_t i = begin; i < end; ++i) {
+    if (cursor->f(i) > threshold) {
+      return i;
+    }
+  }
+  return hi;
+}
+
+/// Dominance tests the direct scan charges up to `cut`, rebuilt from the
+/// events of the first `accepts` accepted offers (all of them before the
+/// cut): every offered position is charged the window's slot count, and
+/// an accepted offer once more for its eviction pass; the slot count
+/// moves only at accepts — evictions lower the live count, the
+/// compaction rule may then drop the dead slots, and the accepted point
+/// takes a new slot. Positions of summary-rejected blocks are never
+/// offered.
+uint64_t ReplayDominanceTests(const ScanTrace& trace, size_t cut,
+                              size_t accepts) {
+  const ScanTrace::Header& header = trace.header();
+  std::vector<uint32_t> evictions(accepts, 0);
+  for (size_t k = 0; k < accepts; ++k) {
+    const uint32_t evictor = trace.accept(k).evictor;
+    if (evictor < accepts) {
+      ++evictions[evictor];
+    }
+  }
+  for (size_t s = 0; s < trace.num_seed_evictions(); ++s) {
+    const uint32_t evictor = trace.seed_evictor(s);
+    if (evictor >= accepts) {
+      break;  // ascending
+    }
+    ++evictions[evictor];
+  }
+  // Offered positions in [begin, end). A rejected block holds no accept,
+  // so it lies inside one accept-to-accept segment; blocks are consumed
+  // in order across the ascending segments.
+  size_t next_block = 0;
+  const auto offered = [&](size_t begin, size_t end) -> uint64_t {
+    size_t count = end - begin;
+    if (!trace.block_skip()) {
+      return count;
+    }
+    for (; next_block < trace.num_probed_blocks() &&
+           next_block * kDomBlockWidth < end;
+         ++next_block) {
+      if (trace.block_rejected(next_block)) {
+        const size_t block_begin = next_block * kDomBlockWidth;
+        count -= std::min(block_begin + kDomBlockWidth, end) - block_begin;
+      }
+    }
+    return count;
+  };
+  uint64_t tests = 0;
+  size_t slots = header.seeds;
+  size_t alive = header.seeds;
+  size_t next = 0;
+  for (size_t k = 0; k < accepts; ++k) {
+    const size_t position = trace.accept(k).position;
+    tests += offered(next, position + 1) * slots + slots;
+    alive -= evictions[k];
+    if (slots >= header.compact_min_window &&
+        static_cast<double>(alive) <
+            header.compact_live_fraction * static_cast<double>(slots)) {
+      slots = alive;
+    }
+    ++slots;
+    ++alive;
+    next = position + 1;
+  }
+  return tests + offered(next, cut) * slots;
+}
+
+/// Scan-level charges (scan steps, pages, and under block skipping the
+/// summary probes and skipped blocks) of the direct scan stopping at
+/// `cut`.
+void ReplayScanCharges(const StoreView& input, const ScanTrace& trace,
+                       size_t cut, OpCounts* ops) {
+  if (!trace.block_skip()) {
+    ops->scan_steps += cut;
+    ChargeScanPages(input.layout(), input.size(), cut, ops);
+    return;
+  }
+  // Closed-form reconstruction of the skip scan's charges at the
+  // replayed cut, exact because the summary probes are
+  // threshold-independent on the shared prefix:
+  //  - A probed block's first point is always consumed (its f *is* the
+  //    block f-minimum the entry check passed), so a stop at a block
+  //    start means that block was never probed. Hence exactly
+  //    ceil(cut / 8) blocks are probed.
+  //  - A rejected block fully inside the cut is a wholesale skip under
+  //    any tighter threshold too: were its f-maximum above the running
+  //    threshold, the per-position walk would have stopped inside it and
+  //    the cut could not pass its end. Such blocks charge nothing
+  //    further.
+  //  - Every other probed block walks from its start to the cut (or its
+  //    end), one scan step per consumed position, touching its page —
+  //    blocks ascend, so first-touch per page reproduces the incremental
+  //    charging of the direct scan, including the stop position's page
+  //    (always the last probed block's own page).
+  const PageLayout& layout = input.layout();
+  const size_t blocks = (cut + kDomBlockWidth - 1) / kDomBlockWidth;
+  ops->summary_tests += blocks;
+  size_t last_page = static_cast<size_t>(-1);
+  for (size_t b = 0; b < blocks; ++b) {
+    const size_t block_begin = b * kDomBlockWidth;
+    const size_t block_end = std::min(block_begin + kDomBlockWidth,
+                                      input.size());
+    if (b < trace.num_probed_blocks() && trace.block_rejected(b)) {
+      ops->blocks_skipped += 1;
+      if (block_end <= cut) {
+        continue;
+      }
+    }
+    ops->scan_steps += std::min(cut, block_end) - block_begin;
+    const size_t page = block_begin / layout.points_per_page();
+    if (page != last_page) {
+      ops->page_reads += 1;
+      ops->page_bytes += layout.page_size;
+      last_page = page;
+    }
+  }
+}
+
+}  // namespace
+
 ResultList ReplayScanTrace(const StoreView& input, const ScanTrace& trace,
                            double threshold_in, ThresholdScanStats* stats) {
-  SKYPEER_CHECK(threshold_in <= trace.threshold_in);
+  SKYPEER_CHECK(threshold_in <= trace.threshold_in());
   const auto start = std::chrono::steady_clock::now();
+  const Subspace u = trace.subspace();
+  StoreCursor cursor(input);
+  cursor.disable_read_ahead();
   // The running threshold under the tighter start is min(threshold_in,
   // running threshold of the recorded scan) at every position, so the
-  // replayed scan stops within the recorded prefix: past its cut the
-  // recorded scan's own threshold already rejected the next point.
-  StoreCursor cursor(input);
+  // replayed scan stops within the recorded prefix, and between two
+  // accepts it stays constant: the scan reaches the next accept iff that
+  // accept's f is within it (f ascends), else it stops at the first
+  // position of the gap whose f exceeds it.
+  ResultList accepted(input.dims());
   double threshold = threshold_in;
+  size_t accepts = 0;
+  size_t next = 0;
   size_t cut = 0;
-  while (cut < trace.size() && cursor.f(cut) <= threshold) {
-    if (trace.accepted[cut]) {
-      threshold = std::min(threshold, trace.dist_u[cut]);
+  while (true) {
+    if (accepts == trace.num_accepts()) {
+      cut = FirstAbove(input, &cursor, next, trace.size(), threshold);
+      break;
     }
-    ++cut;
+    const size_t position = trace.accept(accepts).position;
+    const double f = cursor.f(position);
+    if (f > threshold) {
+      cut = FirstAbove(input, &cursor, next, position, threshold);
+      break;
+    }
+    const double* row = cursor.row(position);
+    threshold = std::min(threshold, DistU(row, u));
+    accepted.points.Append(row, cursor.id(position));
+    accepted.f.push_back(f);
+    ++accepts;
+    next = position + 1;
   }
-  // Survivors: accepted before the cut and not evicted before it. An
-  // eviction at position >= cut never happens in the replayed scan (its
-  // evictor is past the stopping point), so the point stays alive.
+  // Survivors: accepted before the cut and not evicted by an accept
+  // before it. An eviction past the cut never happens in the replayed
+  // scan, so the point stays alive.
   ResultList result(input.dims());
-  for (size_t i = 0; i < cut; ++i) {
-    if (trace.accepted[i] && trace.evicted_at[i] >= cut) {
-      result.points.Append(cursor.row(i), cursor.id(i));
-      result.f.push_back(cursor.f(i));
+  result.points.Reserve(accepts);
+  result.f.reserve(accepts);
+  for (size_t k = 0; k < accepts; ++k) {
+    if (trace.accept(k).evictor >= accepts) {
+      result.points.AppendFrom(accepted.points, k);
+      result.f.push_back(accepted.f[k]);
     }
   }
   if (stats != nullptr) {
     stats->scanned = cut;
     stats->final_threshold = threshold;
     // Ops of the *equivalent direct scan*, not of the (much cheaper)
-    // replay: the window evolves identically on the shared prefix, so
-    // the recorded cumulative counts at the cut are exact. Traces
-    // recorded before cum_ops existed replay with zero window ops.
+    // replay: the window evolves identically on the shared prefix.
     stats->ops = OpCounts{};
-    if (cut > 0 && trace.cum_ops.size() >= cut) {
-      stats->ops = trace.cum_ops[cut - 1];
-    }
-    if (!trace.block_skip) {
-      stats->ops.scan_steps += cut;
-      ChargeScanPages(input.layout(), input.size(), cut, &stats->ops);
-    } else {
-      // Closed-form reconstruction of the skip scan's charges at the
-      // replayed cut, exact because the summary probes are
-      // threshold-independent on the shared prefix:
-      //  - A probed block's first point is always consumed (its f *is*
-      //    the block f-minimum the entry check passed), so a stop at a
-      //    block start means that block was never probed. Hence exactly
-      //    ceil(cut / 8) blocks are probed.
-      //  - A rejected block fully inside the cut is a wholesale skip
-      //    under any tighter threshold too: were its f-maximum above the
-      //    running threshold, the per-position walk would have stopped
-      //    inside it and the cut could not pass its end. Such blocks
-      //    charge nothing further.
-      //  - Every other probed block walks from its start to the cut (or
-      //    its end), one scan step per consumed position, touching its
-      //    page — blocks ascend, so first-touch per page reproduces the
-      //    incremental charging of the direct scan, including the stop
-      //    position's page (always the last probed block's own page).
-      const PageLayout& layout = input.layout();
-      const size_t blocks = (cut + kDomBlockWidth - 1) / kDomBlockWidth;
-      stats->ops.summary_tests += blocks;
-      size_t last_page = static_cast<size_t>(-1);
-      for (size_t b = 0; b < blocks; ++b) {
-        const size_t block_begin = b * kDomBlockWidth;
-        const size_t block_end =
-            std::min(block_begin + kDomBlockWidth, input.size());
-        const bool rejected =
-            b < trace.block_rejected.size() && trace.block_rejected[b] != 0;
-        if (rejected) {
-          stats->ops.blocks_skipped += 1;
-          if (block_end <= cut) {
-            continue;
-          }
-        }
-        stats->ops.scan_steps += std::min(cut, block_end) - block_begin;
-        const size_t page = block_begin / layout.points_per_page();
-        if (page != last_page) {
-          stats->ops.page_reads += 1;
-          stats->ops.page_bytes += layout.page_size;
-          last_page = page;
-        }
-      }
-    }
+    stats->ops.dominance_tests = ReplayDominanceTests(trace, cut, accepts);
+    ReplayScanCharges(input, trace, cut, &stats->ops);
     stats->cpu_seconds = SecondsSince(start);
   }
   return result;

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "skypeer/algo/result_list.h"
@@ -86,67 +87,120 @@ struct ThresholdScanStats {
   double cpu_seconds = 0.0;
 };
 
-/// \brief Recorded event log of one sequential threshold scan, sufficient
+/// \brief Compact event log of one sequential threshold scan, sufficient
 /// to replay the same scan under any *tighter* initial threshold without
 /// re-running a single dominance test.
 ///
 /// A threshold scan's dominance outcomes on a shared prefix do not depend
 /// on the initial threshold — only the stopping point does (the running
 /// threshold under `t' <= t` is `min(t', running threshold under t)` at
-/// every position). So a scan executed under an upper-bound threshold,
-/// recording per scanned point whether it entered the window, its
-/// `dist_U` (the threshold contribution of accepted points, kept even
-/// when the point is later evicted) and the scan position of its evictor,
-/// determines the result, scan count and final threshold of the scan
-/// under any refined `t' <= t`: survivors are the accepted points before
-/// the refined cut whose evictor lies at or past the cut. This is what
-/// lets the engine scan speculatively under the initiator's fixed
-/// threshold and reconcile exactly when the refined threshold arrives.
-struct ScanTrace {
-  /// `kNeverEvicted` in `evicted_at` marks points alive at trace end.
-  static constexpr size_t kNeverEvicted = static_cast<size_t>(-1);
+/// every position). So the accept/evict events of a scan executed under
+/// an upper-bound threshold determine the result, scan count, final
+/// threshold and op counts of the scan under any refined `t' <= t`:
+/// survivors are the accepted points before the refined cut whose evictor
+/// lies at or past the cut. This is what lets the engine replay one
+/// unconstrained scan per (store, subspace) for every incoming threshold.
+///
+/// Only *accepted* offers leave a record — 8 bytes each: the scan
+/// position and the index of the accepted offer that evicted it (both
+/// `uint32_t`). Rejected positions leave nothing. Everything else is
+/// reconstructed at replay time:
+///  - `dist_U` of an accepted point from its store row;
+///  - eviction counts from the evictor indices;
+///  - each offer's dominance charge (the window-slot count) from the
+///    accept/evict events and the compaction rule the scan ran with;
+///  - seed (filter) evictions, which have no record of their own, from a
+///    separate list of the accept indices that evicted a seed;
+///  - block skipping from one bit per probed block (`block_rejected`).
+/// The events live in one exact-size allocation.
+class ScanTrace {
+ public:
+  /// Evictor index of records alive at trace end.
+  static constexpr uint32_t kNeverEvicted = UINT32_MAX;
 
-  /// Initial threshold the recorded scan ran under; replays require a
-  /// threshold no larger than this.
-  double threshold_in = std::numeric_limits<double>::infinity();
-  /// Per scanned position: 1 if the point entered the running skyline.
-  std::vector<char> accepted;
-  /// Per scanned position: `dist_U` of accepted points (0 otherwise).
-  std::vector<double> dist_u;
-  /// Per scanned position: scan position of the offer that evicted the
-  /// point, or `kNeverEvicted`. Rejected points are `kNeverEvicted` too
-  /// (the `accepted` flag already excludes them from replays).
-  std::vector<size_t> evicted_at;
-  /// Cumulative op counts of the recorded scan after each position
-  /// (window-evolution ops only — scan steps are not included and are
-  /// reconstructed by the replay). Because the window evolves
-  /// identically on the shared prefix of any tighter-threshold scan,
-  /// `cum_ops[cut - 1]` is exactly the op count a direct scan truncated
-  /// at `cut` would report.
-  std::vector<OpCounts> cum_ops;
-  /// True when the recorded scan ran with block skipping; replays then
-  /// reconstruct the skip charges (summary probes, skipped blocks,
-  /// reduced scan steps and page reads) from `block_rejected` instead of
-  /// charging the full prefix.
-  bool block_skip = false;
-  /// Per probed store block of the recorded prefix (block `b` covers
-  /// positions [8b, 8b+8)): 1 when the block's summary probe found a
-  /// dominating window entry, so every point of it was rejected without
-  /// per-point tests. The probe outcome is threshold-independent on the
-  /// shared prefix, which is what makes skip traces replayable.
-  std::vector<char> block_rejected;
+  /// Scalar parameters of the recorded scan.
+  struct Header {
+    /// Initial threshold the recorded scan ran under; replays require a
+    /// threshold no larger than this.
+    double threshold_in = std::numeric_limits<double>::infinity();
+    /// Query subspace mask (replays recompute `dist_U` on it).
+    uint32_t mask = 0;
+    /// Positions the recorded scan consumed.
+    uint32_t scanned = 0;
+    /// Filter seeds the window started with.
+    uint32_t seeds = 0;
+    /// True when the recorded scan ran with block skipping; replays then
+    /// reconstruct the skip charges (summary probes, skipped blocks,
+    /// reduced scan steps and page reads) from `block_rejected`.
+    bool block_skip = false;
+    /// The scan's compaction policy (see `ThresholdScanOptions`).
+    size_t compact_min_window = 64;
+    double compact_live_fraction = 0.5;
+  };
 
-  size_t size() const { return accepted.size(); }
+  /// One accepted offer.
+  struct Accept {
+    uint32_t position = 0;
+    /// Index (into the accepts) of the offer that evicted this one, or
+    /// `kNeverEvicted`.
+    uint32_t evictor = kNeverEvicted;
+  };
 
-  /// Payload bytes of this trace (element sizes, not capacities) — what
-  /// the bounded `SubspaceScanTraceCache` accounts per entry.
-  size_t ByteSize() const {
-    return sizeof(ScanTrace) + accepted.size() * sizeof(char) +
-           dist_u.size() * sizeof(double) +
-           evicted_at.size() * sizeof(size_t) +
-           cum_ops.size() * sizeof(OpCounts) +
-           block_rejected.size() * sizeof(char);
+  /// Empty trace of a scan that consumed nothing.
+  ScanTrace() = default;
+  /// Packs the events into one exact-size allocation. `seed_evictors`
+  /// holds, per evicted seed, the accept index that evicted it, in
+  /// ascending order; `block_rejected` has one entry per probed block
+  /// (block `b` covers positions [8b, 8b+8)), 1 when its summary probe
+  /// found a dominating window entry.
+  ScanTrace(const Header& header, const std::vector<Accept>& accepts,
+            const std::vector<uint32_t>& seed_evictors,
+            const std::vector<char>& block_rejected);
+
+  ScanTrace(ScanTrace&&) = default;
+  ScanTrace& operator=(ScanTrace&&) = default;
+
+  const Header& header() const { return header_; }
+  double threshold_in() const { return header_.threshold_in; }
+  Subspace subspace() const { return Subspace(header_.mask); }
+  bool block_skip() const { return header_.block_skip; }
+  /// Positions the recorded scan consumed.
+  size_t size() const { return header_.scanned; }
+
+  size_t num_accepts() const { return num_accepts_; }
+  Accept accept(size_t k) const {
+    return {words_[2 * k], words_[2 * k + 1]};
   }
+  size_t num_seed_evictions() const { return num_seed_evictions_; }
+  uint32_t seed_evictor(size_t s) const {
+    return words_[2 * num_accepts_ + s];
+  }
+  size_t num_probed_blocks() const { return num_probed_blocks_; }
+  bool block_rejected(size_t b) const {
+    const uint32_t word = words_[2 * num_accepts_ + num_seed_evictions_ +
+                                 b / 32];
+    return ((word >> (b % 32)) & 1u) != 0;
+  }
+
+  /// Bytes this trace occupies (object plus event allocation) — what the
+  /// bounded `SubspaceScanTraceCache` accounts per entry.
+  size_t ByteSize() const {
+    return sizeof(ScanTrace) + num_words() * sizeof(uint32_t);
+  }
+
+ private:
+  size_t num_words() const {
+    return 2 * num_accepts_ + num_seed_evictions_ +
+           (num_probed_blocks_ + 31) / 32;
+  }
+
+  Header header_;
+  uint32_t num_accepts_ = 0;
+  uint32_t num_seed_evictions_ = 0;
+  uint32_t num_probed_blocks_ = 0;
+  /// Accepts (position, evictor pairs), then seed evictors, then the
+  /// probed-block bitmap.
+  std::unique_ptr<uint32_t[]> words_;
 };
 
 /// \brief Incrementally maintains a (extended) subspace skyline under
@@ -178,14 +232,14 @@ class SkylineAccumulator {
     return OfferTagged(p, id, f, kNoTag, nullptr);
   }
 
-  /// Tag value of points offered without one (and of `SeedWindow` seeds);
-  /// never reported through `evicted_tags`.
+  /// Tag value of points offered without one and of `SeedWindow` seeds.
   static constexpr uint64_t kNoTag = static_cast<uint64_t>(-1);
 
   /// `Offer` that additionally attaches a caller tag to the point and,
   /// when `evicted_tags` is non-null, appends the tags of the window
-  /// entries this offer evicted. Used by the traced scan to record which
-  /// scan position evicted which: the tag is the offer's scan position.
+  /// entries this offer evicted (`kNoTag` for seeds). Used by the traced
+  /// scan to record which accepted offer evicted which: the tag is the
+  /// offer's accept index.
   bool OfferTagged(const double* p, PointId id, double f, uint64_t tag,
                    std::vector<uint64_t>* evicted_tags);
 
@@ -201,8 +255,8 @@ class SkylineAccumulator {
   /// coordinate carries over through `w[j] < m[j] <= p[j]` — so a true
   /// probe proves the whole block would be rejected point by point.
   /// Op-free by design: callers charge `summary_tests` themselves so the
-  /// accumulator's `ops()` (and the replayable `cum_ops` built from it)
-  /// stay pure window-evolution counts.
+  /// accumulator's `ops()` stay pure window-evolution counts, which trace
+  /// replays reconstruct from accept/evict events alone.
   bool WindowRejectsSummary(const double* min_row) const;
 
   /// Number of points currently in the running skyline.
@@ -314,12 +368,16 @@ inline ResultList TracedSortedSkyline(const ResultList& input, Subspace u,
 }
 
 /// \brief Replays a recorded scan of `input` under `threshold_in`, which
-/// must satisfy `threshold_in <= trace.threshold_in`. Returns exactly what
-/// `SortedSkyline(input, u, {.initial_threshold = threshold_in})` would
-/// — same points in the same order, same `stats->scanned`,
+/// must satisfy `threshold_in <= trace.threshold_in()`. Returns exactly
+/// what `SortedSkyline(input, u, options)` with that initial threshold
+/// would — same points in the same order, same `stats->scanned`,
 /// `stats->final_threshold` and op counts (including the page charges of
-/// the equivalent direct scan) — in O(recorded scan length) with no
-/// dominance tests. `input` must be the store the trace was recorded over.
+/// the equivalent direct scan) — with no dominance tests. The cut is
+/// found by binary search over `f` between accepted positions; only the
+/// accepted rows before the cut and the cut's own block are read. On a
+/// paged store the search runs on the summary's `block_f_max`, so the
+/// replay pins just those rows' pages and the cut block, without
+/// read-ahead. `input` must be the store the trace was recorded over.
 ResultList ReplayScanTrace(const StoreView& input, const ScanTrace& trace,
                            double threshold_in,
                            ThresholdScanStats* stats = nullptr);

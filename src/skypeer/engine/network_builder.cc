@@ -796,7 +796,14 @@ std::unique_ptr<SkypeerNetwork> SkypeerNetwork::CloneForQueries() const {
   // Share the result cache *after* AdoptStores: a replica's stores are
   // copies of the parent's, so the parent's warm entries stay valid —
   // installing the shared cache after the SetStore invalidations (which
-  // only touched the clone's empty private cache) preserves them.
+  // only touched the clone's empty private cache) preserves them. The
+  // entries are keyed by store epoch, so each replica store takes its
+  // parent's epoch: after churn the parent sits past epoch 1, where the
+  // replica's own install would put it.
+  for (size_t sp = 0; sp < super_peers_.size(); ++sp) {
+    clone->super_peers_[sp]->AdoptStoreEpoch(
+        super_peers_[sp]->store_epoch());
+  }
   if (result_cache_ != nullptr) {
     clone->result_cache_ = result_cache_;
     for (auto& sp : clone->super_peers_) {

@@ -90,9 +90,11 @@ struct NetworkConfig {
   uint64_t churn_seed = 0;
   /// Cache each super-peer's unconstrained local scan trace per query
   /// subspace; repeated queries on a subspace replay the trace under the
-  /// incoming threshold — the exact truncated-scan result with zero
-  /// dominance tests.
-  bool enable_cache = false;
+  /// incoming threshold — the exact truncated-scan result and op counts
+  /// with zero dominance tests. On by default; filtered scans and the
+  /// naive baseline always scan directly. false selects the uncached
+  /// reference path that equivalence tests compare against.
+  bool enable_cache = true;
   /// Bound on the number of scan traces the per-subspace cache retains
   /// (least-recently-used eviction, deterministic under a fixed query
   /// order). 0 (default) keeps the cache unbounded. Results and

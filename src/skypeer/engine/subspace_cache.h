@@ -34,9 +34,11 @@ namespace skypeer {
 /// the key because a filtered scan's accept/evict decisions differ from
 /// an unfiltered one's: replaying a no-filter trace for a filtered query
 /// (or a trace recorded under a different initiator's filter) would
-/// silently return the wrong survivors — the same class of inexactness
-/// the threshold-constrained cache of PR 3 had. Entries are immutable
-/// once published; churn invalidates per super-peer.
+/// silently return the wrong survivors. The engine publishes unfiltered
+/// traces only: a filter changes with the initiator, so filtered entries
+/// would almost never be reused, and the cache stays bounded by
+/// super-peers x subspaces. Entries are immutable once published; churn
+/// invalidates per super-peer.
 ///
 /// The store epoch is part of the key because churn installs may happen
 /// while a pinned query still scans the *previous* epoch of the same
@@ -44,7 +46,9 @@ namespace skypeer {
 /// pinned query's old-store trace fill could serve later queries of the
 /// new store. Epochs are never reused, so a stale entry can never alias
 /// a live one; `Invalidate` still drops every epoch of a super-peer in
-/// one scoped range erase.
+/// one scoped range erase. `CloneForQueries` replicas carry their
+/// parent's epochs (`SuperPeer::AdoptStoreEpoch`), so a replica of a
+/// churned network shares the parent's entries.
 ///
 /// Capacity: `max_entries` > 0 bounds the cache with least-recently-used
 /// eviction (a lookup hit or an insert refreshes the entry's recency;
@@ -148,11 +152,14 @@ class SubspaceScanTraceCache {
   using Key = std::tuple<int, uint64_t, uint32_t, uint64_t>;
   struct Entry {
     std::shared_ptr<const ScanTrace> trace;
-    /// Recency stamp; key into `recency_`.
+    /// Recency stamp; key into `recency_` (bounded caches only).
     uint64_t tick = 0;
   };
 
   void TouchLocked(Entry* entry, const Key& key) const {
+    if (max_entries_ == 0) {
+      return;  // Unbounded: nothing is ever evicted, so recency is unused.
+    }
     if (entry->tick != 0) {
       recency_.erase(entry->tick);
     }
@@ -174,7 +181,8 @@ class SubspaceScanTraceCache {
   const size_t max_entries_;
   mutable std::mutex mutex_;
   mutable std::map<Key, Entry> entries_;
-  /// tick -> key, ordered stalest-first. Ticks start at 1 (0 = unset).
+  /// tick -> key, ordered stalest-first; empty when unbounded. Ticks
+  /// start at 1 (0 = unset).
   mutable std::map<uint64_t, Key> recency_;
   mutable uint64_t tick_ = 0;
   mutable uint64_t bytes_ = 0;

@@ -105,6 +105,11 @@ void SuperPeer::InstallStore(ResultList store) {
     // inside Build-then-move — or travel with their retired epoch when
     // pinned. The paged store builds and carries its own summary.
     paged_store_ = PagedStore::Build(store, buffer_);
+    if (validate) {
+      SKYPEER_CHECK(ValidateStoreSummary(*paged_store_.summary(), store,
+                                         paged_store_.layout())
+                        .ok());
+    }
     store_ = ResultList(dims_);
     store_summary_ = StoreSummary();
   } else {
@@ -113,8 +118,11 @@ void SuperPeer::InstallStore(ResultList store) {
     // decisions never diverge between modes. Rebuilt on every install —
     // initial merge, churn maintenance, incremental join, snapshot
     // restore — so an emptied store never keeps the previous summary.
-    store_summary_ =
-        StoreSummary::Build(store_, PageLayout(page_size_, dims_));
+    const PageLayout layout(page_size_, dims_);
+    store_summary_ = StoreSummary::Build(store_, layout);
+    if (validate) {
+      SKYPEER_CHECK(ValidateStoreSummary(store_summary_, store_, layout).ok());
+    }
   }
   if (retired_.count(scan_epoch_) == 0) {
     scan_epoch_ = store_epoch_;
@@ -864,42 +872,39 @@ const SuperPeer::LocalScan& SuperPeer::RunLocalScan(
     return scan;
   }
 
-  if (cache_enabled_) {
+  if (cache_enabled_ && filter_fp == 0) {
     // Serve from the per-subspace cache: the event trace of the
     // *unconstrained* sequential scan is recorded once; every incoming
     // threshold then replays it into the exact truncated-scan result —
-    // same survivors, same consumed-point count, same final threshold as
-    // a fresh Algorithm 1 pass — without a single dominance test.
-    // (Filtering a cached skyline *list* is not enough: the store is
-    // f-sorted in full space while dominance is tested in the query
+    // same survivors, same consumed-point count, same final threshold and
+    // op counts as a fresh Algorithm 1 pass — without a single dominance
+    // test. (Filtering a cached skyline *list* is not enough: the store
+    // is f-sorted in full space while dominance is tested in the query
     // subspace, so a point's dominator can lie beyond the threshold
     // cutoff — the truncated scan keeps such a point, the unconstrained
     // skyline has already dropped it.) The cache is thread-safe and may
     // be shared across replica clones: the trace is a pure function of
-    // (store, mask, filter), so whichever filler publishes first, every
-    // reader replays the same trace, and the replay is identical on hit
-    // and miss, which keeps workload aggregates independent of query
-    // order. The filter fingerprint is part of the key: a filtered scan's
-    // accept/evict events differ from an unfiltered one's, so replaying
-    // across filter configurations would be exactly the PR 3 class of
-    // cache inexactness.
+    // (store, mask), so whichever filler publishes first, every reader
+    // replays the same trace, and the replay is identical on hit and
+    // miss, which keeps workload aggregates independent of query order.
+    // Filtered scans never publish: their filter changes with the
+    // initiator, so their traces would almost never be reused.
     const auto start = std::chrono::steady_clock::now();
     if (cache_ == nullptr) {
       cache_ = std::make_shared<SubspaceScanTraceCache>();
     }
     std::shared_ptr<const ScanTrace> entry =
-        cache_->Lookup(id_, scan_epoch_, subspace.mask(), filter_fp);
+        cache_->Lookup(id_, scan_epoch_, subspace.mask(), 0);
     if (entry == nullptr) {
       auto trace = std::make_shared<ScanTrace>();
       ThresholdScanOptions fill_options;
       fill_options.block_skip = block_skip_;
-      fill_options.filter = filter;
       TracedSortedSkyline(view, subspace, fill_options, nullptr,
                           trace.get());
       // Keyed by the epoch the scan actually read (`scan_epoch_`), so a
       // pinned query's old-epoch fill can never serve queries of a newer
       // store.
-      entry = cache_->Insert(id_, scan_epoch_, subspace.mask(), filter_fp,
+      entry = cache_->Insert(id_, scan_epoch_, subspace.mask(), 0,
                              std::move(trace));
     }
     ThresholdScanStats stats;
@@ -907,10 +912,10 @@ const SuperPeer::LocalScan& SuperPeer::RunLocalScan(
         ReplayScanTrace(view, *entry, threshold_in, &stats));
     scan.threshold_out = stats.final_threshold;
     scan.scanned = stats.scanned;
-    // Only the replay is counted: the fill is amortized cache warming, and
-    // excluding it keeps counted charges independent of hit/miss order
-    // (replicas sharing a cache see different orders). Measured time still
-    // covers the whole call, preserving the measured model's semantics.
+    // Only the replay is counted: its ops are those of the direct scan
+    // under `threshold_in`, and excluding the fill keeps counted charges
+    // independent of hit/miss order (replicas sharing a cache see
+    // different orders). Measured time covers the whole call.
     scan.ops = stats.ops;
     scan.cpu_s = SecondsSince(start);
     return scan;
@@ -963,13 +968,14 @@ void SuperPeer::StageSpeculativeScan(const Subspace& subspace, Variant variant,
   staged.variant = variant;
   staged.threshold_in = fixed_threshold;
   staged.filter_fp = filter != nullptr ? FilterFingerprint(*filter) : 0;
-  if (!cache_enabled_) {
-    // Plain scan: record the event trace so the reconcile can replay
-    // the scan under the refined threshold without any dominance test.
-    // The filter seeds are baked into the recorded events; the staged
-    // fingerprint guards the match. The traced scan is the direct scan
-    // under `fixed_threshold`, so it also becomes the memo: an arrival at
-    // exactly that threshold reuses it.
+  if (!cache_enabled_ || staged.filter_fp != 0) {
+    // Scans that do not go through the cache (filtered, or the uncached
+    // reference path): record a private trace in the same compact format
+    // so the reconcile can replay the scan under the refined threshold
+    // without any dominance test. The filter seeds are baked into the
+    // recorded events; the staged fingerprint guards the match. The
+    // traced scan is the direct scan under `fixed_threshold`, so it also
+    // becomes the memo: an arrival at exactly that threshold reuses it.
     ThresholdScanOptions options;
     options.initial_threshold = fixed_threshold;
     options.block_skip = block_skip_;
@@ -987,8 +993,8 @@ void SuperPeer::StageSpeculativeScan(const Subspace& subspace, Variant variant,
     staged.has_trace = true;
   } else {
     // Cache path: the scan warms the shared trace cache (a pure function
-    // of the store and filter, so identical to what the protocol run
-    // would insert) and the reconcile replays it at the refined value.
+    // of the store, so identical to what the protocol run would insert)
+    // and the reconcile replays it at the refined value.
     staged.cpu_s = RunLocalScan(subspace, variant, fixed_threshold,
                                 filter.get(), staged.filter_fp)
                        .cpu_s;

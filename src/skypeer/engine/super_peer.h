@@ -153,6 +153,17 @@ class SuperPeer : public sim::Node {
   /// the current epoch.
   void UnpinStoreEpoch(uint64_t epoch);
 
+  /// Relabels the current store as epoch `epoch` of the node it was
+  /// copied from, so both share trace-cache entries (see
+  /// `SkypeerNetwork::CloneForQueries`). The caller guarantees the store
+  /// equals that node's store at `epoch`. Requires no pins.
+  void AdoptStoreEpoch(uint64_t epoch) {
+    SKYPEER_CHECK(current_pins_ == 0 && retired_.empty());
+    store_epoch_ = epoch;
+    scan_epoch_ = epoch;
+    memo_.reset();
+  }
+
   /// Retired epochs still held alive by pins (0 in steady state).
   size_t RetiredEpochCount() const { return retired_.size(); }
 
@@ -205,11 +216,13 @@ class SuperPeer : public sim::Node {
 
   // --- per-subspace result cache ----------------------------------------
 
-  /// Caches the unconstrained local scan trace per query mask; repeated
-  /// queries on the same subspace then replay the trace under the
-  /// incoming threshold (exact result, scan count and final threshold,
-  /// zero dominance tests) instead of rescanning the store.
-  /// Invalidated by churn. The naive baseline never uses it.
+  /// Caches the unconstrained local scan trace per query mask (on by
+  /// default); repeated queries on the same subspace then replay the
+  /// trace under the incoming threshold (exact result, scan count, final
+  /// threshold and op counts, zero dominance tests) instead of rescanning
+  /// the store. Unfiltered threshold scans only: filtered scans and the
+  /// naive baseline scan directly. Invalidated by churn. Off is the
+  /// uncached reference path equivalence tests compare against.
   void set_enable_cache(bool enable) {
     cache_enabled_ = enable;
     memo_.reset();
@@ -330,10 +343,10 @@ class SuperPeer : public sim::Node {
   /// arrives. `ComputeLocal` then reproduces the result, final threshold
   /// and scan count the sequential execution under the refined threshold
   /// would have produced, bit-identically:
-  ///  - without the cache the scan records a `ScanTrace` replayed in
-  ///    O(scan length);
-  ///  - with the cache enabled the speculative scan warms the shared
-  ///    trace cache and the reconcile replays it at the refined value.
+  ///  - an unfiltered scan with the cache enabled warms the shared trace
+  ///    cache and the reconcile replays it at the refined value;
+  ///  - any other scan records a private `ScanTrace` (the same compact
+  ///    format) that the reconcile replays.
   /// Like `StageLocalScan` this never changes results or simulated
   /// metrics (measure_cpu=false); it only moves host CPU off the
   /// simulator thread. `filter` as in `StageLocalScan`.
@@ -426,7 +439,7 @@ class SuperPeer : public sim::Node {
     /// adopted by every receiver before computing.
     std::shared_ptr<const ResultList> filter;
     /// `FilterFingerprint(*filter)`, 0 when `filter` is null. Keys the
-    /// staged-scan match and the trace cache.
+    /// staged-scan match and the scan memo.
     uint64_t filter_fp = 0;
     bool finished = false;
     ResultList final{1};
@@ -493,7 +506,8 @@ class SuperPeer : public sim::Node {
     /// Work seconds of the scan as self-measured on the staging thread.
     double cpu_s = 0.0;
     /// Event log of the speculative sequential scan, replayable under
-    /// tighter thresholds. Unset (`has_trace` false) on the cache path.
+    /// tighter thresholds. Unset (`has_trace` false) on the cache path,
+    /// which replays the shared cache entry instead.
     bool has_trace = false;
     ScanTrace trace;
   };
@@ -580,9 +594,9 @@ class SuperPeer : public sim::Node {
   /// counts only — trace fills are amortized cache warming) and `cpu_s`
   /// the work seconds self-measured on the executing thread. `filter` /
   /// `filter_fp` is the broadcast filter set the scan seeds its window
-  /// with (null/0 = none); the fingerprint keys the trace cache so
-  /// filtered and unfiltered traces never cross. Returns the scan memo
-  /// on an exact key match; otherwise scans and overwrites the memo. The
+  /// with (null/0 = none); the fingerprint keys the memo, and only
+  /// unfiltered scans (fingerprint 0) use the trace cache. Returns the
+  /// scan memo on an exact key match; otherwise scans and overwrites the memo. The
   /// reference is valid until the memo next changes.
   const LocalScan& RunLocalScan(const Subspace& subspace, Variant variant,
                                 double threshold_in, const ResultList* filter,
@@ -706,16 +720,16 @@ class SuperPeer : public sim::Node {
   /// Operation counts accumulated since the last `ResetProtocolState`
   /// (both simulation runs of a query charge identically).
   OpCounts query_ops_;
-  bool cache_enabled_ = false;
+  bool cache_enabled_ = true;
   /// Zone-map block skipping in local threshold scans (see
   /// set_block_skip).
   bool block_skip_ = false;
   /// Broadcast filter-set size bound this node uses as initiator
   /// (see set_filter_set_size); 0 disables the filter axis.
   size_t filter_set_size_ = 0;
-  /// Unconstrained per-subspace skylines under this node's id; possibly
-  /// shared with replica clones (see SetResultCache). Created on first
-  /// use when `cache_enabled_` and none was installed.
+  /// Unconstrained per-subspace scan traces under this node's id;
+  /// possibly shared with replica clones (see SetResultCache). Created on
+  /// first use when `cache_enabled_` and none was installed.
   std::shared_ptr<SubspaceScanTraceCache> cache_;
 };
 

@@ -68,4 +68,35 @@ StoreSummary StoreSummary::Build(const ResultList& list,
   return summary;
 }
 
+Status ValidateStoreSummary(const StoreSummary& summary,
+                            const ResultList& list, const PageLayout& layout) {
+  const StoreSummary expected = StoreSummary::Build(list, layout);
+  if (summary.dims() != expected.dims() || summary.size() != expected.size() ||
+      summary.num_blocks() != expected.num_blocks() ||
+      summary.num_pages() != expected.num_pages()) {
+    return Status::InvalidArgument(
+        "store summary does not match its store's shape");
+  }
+  const size_t dims = static_cast<size_t>(summary.dims());
+  for (size_t b = 0; b < summary.num_blocks(); ++b) {
+    if (summary.block_f_min(b) != expected.block_f_min(b) ||
+        summary.block_f_max(b) != expected.block_f_max(b)) {
+      return Status::InvalidArgument("store summary block f-range is wrong");
+    }
+    if (!std::equal(summary.block_min(b), summary.block_min(b) + dims,
+                    expected.block_min(b))) {
+      return Status::InvalidArgument("store summary block min-vector is wrong");
+    }
+  }
+  for (size_t p = 0; p < summary.num_pages(); ++p) {
+    if (summary.page_f_min(p) != expected.page_f_min(p) ||
+        summary.page_f_max(p) != expected.page_f_max(p) ||
+        !std::equal(summary.page_min(p), summary.page_min(p) + dims,
+                    expected.page_min(p))) {
+      return Status::InvalidArgument("store summary page fold is wrong");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace skypeer

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "skypeer/algo/result_list.h"
+#include "skypeer/common/status.h"
 #include "skypeer/storage/page_layout.h"
 
 namespace skypeer {
@@ -77,6 +78,15 @@ class StoreSummary {
   std::vector<double> page_f_min_;
   std::vector<double> page_f_max_;
 };
+
+/// Checks `summary` against a rebuild from `list` under `layout`: the
+/// point count, every block's f-range and min-vector, and the page folds
+/// must match bit for bit. Block-skipping scans trust the min-vectors and
+/// trace replays place their cut by `block_f_max`, so a summary that
+/// disagrees with its store would change answers silently; this is the
+/// summary half of `ValidateStore`.
+Status ValidateStoreSummary(const StoreSummary& summary,
+                            const ResultList& list, const PageLayout& layout);
 
 }  // namespace skypeer
 

@@ -103,6 +103,11 @@ class StoreCursor {
     prefetch_filter_ = std::move(filter);
   }
 
+  /// Turns read-ahead off for random-access readers (trace replays jump
+  /// straight to the few pages they need; prefetching the pages after
+  /// each would read what the replay never touches).
+  void disable_read_ahead() { read_ahead_ = false; }
+
   double f(size_t i) {
     if (list_ != nullptr) {
       return list_->f[i];
@@ -158,7 +163,7 @@ class StoreCursor {
     page_data_ =
         reinterpret_cast<const double*>(buffer->Pin(store_->page_id(page)));
     current_page_ = page;
-    if (forward) {
+    if (forward && read_ahead_) {
       const size_t last = store_->num_pages() - 1;
       size_t issued = 0;
       for (size_t ahead = 1;
@@ -190,6 +195,7 @@ class StoreCursor {
   const double* page_data_ = nullptr;
   std::vector<double> row_scratch_;
   PrefetchFilter prefetch_filter_;
+  bool read_ahead_ = true;
 };
 
 }  // namespace skypeer

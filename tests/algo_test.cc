@@ -613,7 +613,7 @@ TEST(TracedSortedSkyline, RecordingMatchesPlainScan) {
       EXPECT_EQ(traced_stats.final_threshold, plain_stats.final_threshold)
           << context;
       EXPECT_EQ(trace.size(), traced_stats.scanned) << context;
-      EXPECT_EQ(trace.threshold_in, threshold) << context;
+      EXPECT_EQ(trace.threshold_in(), threshold) << context;
     }
   }
 }
@@ -636,7 +636,7 @@ TEST(ReplayScanTrace, ReproducesTighterScansExactly) {
       TracedSortedSkyline(sorted, u, fixed_options, &fixed_stats, &trace);
       // Refine across the whole useful range, including the fixed
       // threshold itself and values far below it.
-      std::vector<double> refined = {trace.threshold_in,
+      std::vector<double> refined = {trace.threshold_in(),
                                      fixed_stats.final_threshold};
       for (double fraction : {0.9, 0.6, 0.3, 0.1, 0.01}) {
         refined.push_back(fixed_stats.final_threshold * fraction);

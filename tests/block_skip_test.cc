@@ -159,11 +159,23 @@ TEST(BlockSkipProperty, RandomizedScanEquivalence) {
     EXPECT_EQ(plain_stats.scanned, skip_stats.scanned) << context;
     EXPECT_EQ(plain_stats.final_threshold, skip_stats.final_threshold)
         << context;
-    EXPECT_EQ(plain_trace.accepted, skip_trace.accepted) << context;
-    EXPECT_EQ(plain_trace.dist_u, skip_trace.dist_u) << context;
-    EXPECT_EQ(plain_trace.evicted_at, skip_trace.evicted_at) << context;
-    EXPECT_FALSE(plain_trace.block_skip) << context;
-    EXPECT_TRUE(skip_trace.block_skip) << context;
+    EXPECT_EQ(plain_trace.size(), skip_trace.size()) << context;
+    ASSERT_EQ(plain_trace.num_accepts(), skip_trace.num_accepts()) << context;
+    for (size_t k = 0; k < plain_trace.num_accepts(); ++k) {
+      EXPECT_EQ(plain_trace.accept(k).position, skip_trace.accept(k).position)
+          << context;
+      EXPECT_EQ(plain_trace.accept(k).evictor, skip_trace.accept(k).evictor)
+          << context;
+    }
+    ASSERT_EQ(plain_trace.num_seed_evictions(),
+              skip_trace.num_seed_evictions())
+        << context;
+    for (size_t s = 0; s < plain_trace.num_seed_evictions(); ++s) {
+      EXPECT_EQ(plain_trace.seed_evictor(s), skip_trace.seed_evictor(s))
+          << context;
+    }
+    EXPECT_FALSE(plain_trace.block_skip()) << context;
+    EXPECT_TRUE(skip_trace.block_skip()) << context;
     if (plain_options.filter == nullptr &&
         std::isinf(plain_options.initial_threshold)) {
       ExpectMatchesOracles(skip, sorted, u, plain_options.ext, context);

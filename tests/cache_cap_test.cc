@@ -20,10 +20,15 @@ namespace skypeer {
 namespace {
 
 std::shared_ptr<const ScanTrace> MakeTrace(size_t events) {
-  auto trace = std::make_shared<ScanTrace>();
-  trace->accepted.assign(events, 1);
-  trace->dist_u.assign(events, 0.5);
-  return trace;
+  ScanTrace::Header header;
+  header.scanned = static_cast<uint32_t>(events);
+  std::vector<ScanTrace::Accept> accepts(events);
+  for (size_t i = 0; i < events; ++i) {
+    accepts[i].position = static_cast<uint32_t>(i);
+  }
+  return std::make_shared<const ScanTrace>(header, accepts,
+                                           std::vector<uint32_t>{},
+                                           std::vector<char>{});
 }
 
 TEST(CacheCap, EvictsTheLeastRecentlyUsedEntry) {

@@ -16,6 +16,8 @@
 #include "skypeer/data/generator.h"
 #include "skypeer/engine/experiment.h"
 #include "skypeer/engine/network_builder.h"
+#include "skypeer/engine/subspace_cache.h"
+#include "skypeer/sim/churn_plan.h"
 #include "skypeer/storage/buffer_manager.h"
 
 namespace skypeer {
@@ -261,6 +263,7 @@ TEST(Cache, MatchesUncachedAcrossSeeds) {
     NetworkConfig cached_config = DynamicConfig(seed);
     cached_config.enable_cache = true;
     NetworkConfig plain_config = DynamicConfig(seed);
+    plain_config.enable_cache = false;
 
     SkypeerNetwork cached(cached_config);
     cached.Preprocess();
@@ -280,6 +283,74 @@ TEST(Cache, MatchesUncachedAcrossSeeds) {
         EXPECT_EQ(a, b);
       }
     }
+  }
+}
+
+TEST(Cache, ReplicaAfterChurnSharesTheParentsEntries) {
+  // Replica stores are copies of the parent's, so a replica built after
+  // churn must serve from the parent's warm entries — including those of
+  // the churned super-peer, whose store epoch is past 1 — and answer
+  // exactly like the parent.
+  NetworkConfig config = DynamicConfig(14);
+  config.measure_cpu = false;
+  SkypeerNetwork network(config);
+  network.Preprocess();
+  sim::ChurnEvent event;
+  event.kind = sim::ChurnKind::kJoin;
+  event.node = 2;
+  event.seed = 5;
+  ASSERT_TRUE(network.ApplyChurnEvent(event).ok());
+  ASSERT_GT(network.super_peer(2).store_epoch(), 1u);
+
+  const Subspace u = Subspace::FromDims({0, 1, 3});
+  const QueryResult original = network.ExecuteQuery(u, 4, Variant::kRTPM);
+  const SubspaceScanTraceCache::Stats warm = network.result_cache()->stats();
+  ASSERT_EQ(warm.misses, static_cast<uint64_t>(network.num_super_peers()));
+
+  const auto replica = network.CloneForQueries();
+  for (int sp = 0; sp < network.num_super_peers(); ++sp) {
+    EXPECT_EQ(replica->super_peer(sp).store_epoch(),
+              network.super_peer(sp).store_epoch());
+  }
+  const QueryResult served = replica->ExecuteQuery(u, 4, Variant::kRTPM);
+  const SubspaceScanTraceCache::Stats after = network.result_cache()->stats();
+  EXPECT_EQ(after.misses, warm.misses);
+  EXPECT_GT(after.hits, warm.hits);
+  EXPECT_EQ(after.entries, warm.entries);
+  EXPECT_EQ(SortedIds(served.skyline.points),
+            SortedIds(original.skyline.points));
+  EXPECT_EQ(served.metrics.bytes_transferred,
+            original.metrics.bytes_transferred);
+  EXPECT_EQ(served.metrics.total_time_s, original.metrics.total_time_s);
+  EXPECT_EQ(served.metrics.computational_time_s,
+            original.metrics.computational_time_s);
+}
+
+TEST(Cache, ColdQueryMissesOncePerScanningSuperPeer) {
+  // One query runs the protocol twice (configured links, then infinite
+  // bandwidth). On a cold fault-free network each scanning super-peer
+  // fills its entry once in run 1; run 2 is served from the scan memo or
+  // by replaying that entry — also for RT*M, whose refined thresholds
+  // reach some nodes in a different order in run 2. The naive baseline
+  // never uses the cache.
+  std::vector<Variant> variants(kAllVariants, kAllVariants + 5);
+  variants.push_back(Variant::kPipeline);
+  for (Variant variant : variants) {
+    NetworkConfig config = DynamicConfig(15);
+    config.measure_cpu = false;
+    SkypeerNetwork network(config);
+    network.Preprocess();
+    const QueryResult result =
+        network.ExecuteQuery(Subspace::FromDims({0, 2, 3}), 6, variant);
+    const uint64_t expected =
+        variant == Variant::kNaive
+            ? 0
+            : static_cast<uint64_t>(result.metrics.super_peers_participated);
+    EXPECT_EQ(network.result_cache()->stats().misses, expected)
+        << VariantName(variant);
+    EXPECT_EQ(result.metrics.super_peers_participated,
+              network.num_super_peers())
+        << VariantName(variant);
   }
 }
 
@@ -419,12 +490,12 @@ TEST(ScheduledChurn, MatchesDirectReplayAndRebuildOracle) {
       for (bool composed : {false, true}) {
         NetworkConfig base = DynamicConfig(21);
         base.measure_cpu = false;  // Virtual clocks for exact comparison.
+        base.enable_cache = composed;
         if (paged) {
           base.buffer_pages = 4;
           base.page_size = 4096;
         }
         if (composed) {
-          base.enable_cache = true;
           base.filter_set_size = 6;
           base.block_skip = true;
         }

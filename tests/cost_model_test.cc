@@ -323,7 +323,7 @@ TEST(CountedDeterminism, FeatureCompositionsAreDeterministic) {
   const Composition compositions[] = {
       {"speculative-rt",
        [](NetworkConfig* c) { c->speculative_rt = true; }},
-      {"cache", [](NetworkConfig* c) { c->enable_cache = true; }},
+      {"uncached", [](NetworkConfig* c) { c->enable_cache = false; }},
       {"faulted",
        [](NetworkConfig* c) {
          c->reliable = true;

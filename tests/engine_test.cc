@@ -399,6 +399,7 @@ TEST(CacheEquivalence, FilterPathRepliesMatchFreshScansForAllVariants) {
   // under different (and progressively tighter) incoming thresholds.
   NetworkConfig scan_config = SmallConfig(19);
   scan_config.measure_cpu = false;  // Virtual clocks must be exact.
+  scan_config.enable_cache = false;
   NetworkConfig cache_config = scan_config;
   cache_config.enable_cache = true;
 

@@ -20,6 +20,7 @@
 #include "skypeer/algo/sorted_skyline.h"
 #include "skypeer/common/op_counts.h"
 #include "skypeer/common/subspace.h"
+#include "skypeer/engine/experiment.h"
 #include "skypeer/engine/network_builder.h"
 #include "skypeer/engine/subspace_cache.h"
 
@@ -290,6 +291,7 @@ TEST(TraceCache, FilteredCachedQueriesMatchUncachedFromEveryInitiator) {
   // scan network's.
   NetworkConfig scan_config = SmallConfig(43);
   scan_config.filter_set_size = 8;
+  scan_config.enable_cache = false;
   NetworkConfig cache_config = scan_config;
   cache_config.enable_cache = true;
 
@@ -325,6 +327,31 @@ TEST(TraceCache, FilteredCachedQueriesMatchUncachedFromEveryInitiator) {
       }
     }
   }
+}
+
+TEST(TraceCache, FilteredWorkloadStaysBoundedBySubspaces) {
+  // Filtered scans never publish: their fingerprint changes with the
+  // initiator, so each would add entries no later query reuses. Only the
+  // unfiltered scans (every initiator's own) fill the cache, at most one
+  // entry per (super-peer, subspace).
+  NetworkConfig config = SmallConfig(47);
+  config.filter_set_size = 8;
+  SkypeerNetwork network(config);
+  network.Preprocess();
+  const std::vector<QueryTask> tasks =
+      GenerateWorkload(config.dims, 2, 24, network.num_super_peers(), 5);
+  std::set<uint32_t> subspaces;
+  for (const QueryTask& task : tasks) {
+    subspaces.insert(task.subspace.mask());
+    for (Variant variant : {Variant::kFTPM, Variant::kRTFM}) {
+      network.ExecuteQuery(task.subspace, task.initiator_sp, variant);
+    }
+  }
+  ASSERT_NE(network.result_cache(), nullptr);
+  EXPECT_GT(network.result_cache()->size(), 0u);
+  EXPECT_LE(network.result_cache()->size(),
+            static_cast<size_t>(network.num_super_peers()) *
+                subspaces.size());
 }
 
 }  // namespace

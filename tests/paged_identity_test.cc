@@ -6,7 +6,7 @@
 // modes — and simulated times are bit-identical between the in-memory
 // and the paged store, for all five variants plus the pipeline, at 1, 2
 // and 8 threads, with forced-scalar and dispatched SIMD kernels,
-// composed with --speculative-rt, --cache, --filter-set and fault
+// composed with --speculative-rt, the trace cache, --filter-set and fault
 // injection. Only the out-of-band physical pool counters may
 // differ.
 
@@ -91,9 +91,14 @@ TEST(PagedIdentity, MatchesInMemoryForAllVariantsThreadsKernelsCompositions) {
   variants.push_back(Variant::kPipeline);
 
   std::vector<std::pair<std::string, NetworkConfig>> compositions;
-  compositions.emplace_back("plain", BaseConfig());
+  {
+    NetworkConfig plain = BaseConfig();
+    plain.enable_cache = false;
+    compositions.emplace_back("plain", plain);
+  }
   {
     NetworkConfig speculative = BaseConfig();
+    speculative.enable_cache = false;
     speculative.speculative_rt = true;
     compositions.emplace_back("speculative", speculative);
   }

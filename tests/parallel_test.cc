@@ -307,8 +307,10 @@ TEST(SpeculativeRtDeterminism, MatchesSequentialAtAnyThreadCount) {
   // The tentpole guarantee: with --speculative-rt the refined-threshold
   // variants (RTFM, RTPM) and the pipeline produce bit-identical
   // skylines, volume, messages, scan counts, per-node final thresholds
-  // and simulated times (measure_cpu=false) at 1, 2 and 8 threads.
-  const NetworkConfig config = SmallConfig();
+  // and simulated times (measure_cpu=false) at 1, 2 and 8 threads. The
+  // uncached path: every speculative scan records a private trace.
+  NetworkConfig config = SmallConfig();
+  config.enable_cache = false;
   const std::vector<QueryTask> tasks =
       GenerateWorkload(config.dims, 2, 6, config.num_super_peers, 47);
   const auto references = SequentialReferences(config, tasks);
@@ -316,11 +318,11 @@ TEST(SpeculativeRtDeterminism, MatchesSequentialAtAnyThreadCount) {
 }
 
 TEST(SpeculativeRtDeterminism, ComposesWithResultCache) {
-  // Speculation + --cache: the speculative wave warms the shared trace
-  // cache (same pure function of the store the protocol run would
-  // insert) and the reconcile replays it at the refined threshold; the
-  // replay is identical on hit and miss, so all metrics match the
-  // sequential cache-enabled run.
+  // Speculation + the (default) trace cache: the speculative wave warms
+  // the shared trace cache (same pure function of the store the protocol
+  // run would insert) and the reconcile replays it at the refined
+  // threshold; the replay is identical on hit and miss, so all metrics
+  // match the sequential cache-enabled run.
   NetworkConfig config = SmallConfig();
   config.enable_cache = true;
   const std::vector<QueryTask> tasks =
@@ -493,16 +495,21 @@ TEST(KernelDispatchDeterminism, ForcedScalarMatchesDispatchedAcrossVariants) {
   // kernels reproduce the forced-scalar execution bit-identically —
   // skylines, scan counts, volume, messages and simulated times
   // (measure_cpu=false) — across all five variants plus the pipeline, at
-  // 1/2/8 threads, composed with --speculative-rt and --cache.
+  // 1/2/8 threads, composed with --speculative-rt and the trace cache.
   const std::vector<QueryTask> tasks =
       GenerateWorkload(4, 2, 4, SmallConfig().num_super_peers, 83);
   std::vector<Variant> variants(kAllVariants, kAllVariants + 5);
   variants.push_back(Variant::kPipeline);
 
   std::vector<NetworkConfig> compositions;
-  compositions.push_back(SmallConfig());  // plain
+  {
+    NetworkConfig plain = SmallConfig();
+    plain.enable_cache = false;
+    compositions.push_back(plain);
+  }
   {
     NetworkConfig speculative = SmallConfig();
+    speculative.enable_cache = false;
     speculative.speculative_rt = true;
     compositions.push_back(speculative);
   }
@@ -578,9 +585,9 @@ TEST(ParallelDeterminism, FaultedRunsAreThreadCountInvariant) {
     config.fault_seed = 21;
     config.crashed_sps = {5};
     config.max_retries = 2;
+    config.enable_cache = features;
     if (features) {
       config.speculative_rt = true;
-      config.enable_cache = true;
       config.filter_set_size = 6;
     }
 
@@ -650,7 +657,7 @@ TEST(FilterBroadcastDeterminism, MatchesUnfilteredOracleAcrossCompositions) {
   // the flooded query changes what is *shipped*, never what is
   // *answered*. For all five variants plus the pipeline the filtered
   // skyline is bit-identical to the unfiltered oracle's at 1, 2 and 8
-  // threads, composed with --speculative-rt and --cache —
+  // threads, composed with --speculative-rt and the trace cache —
   // and the filtered run's own simulated metrics are thread-count
   // invariant.
   const std::vector<QueryTask> tasks =
@@ -659,9 +666,14 @@ TEST(FilterBroadcastDeterminism, MatchesUnfilteredOracleAcrossCompositions) {
   variants.push_back(Variant::kPipeline);
 
   std::vector<NetworkConfig> compositions;
-  compositions.push_back(SmallConfig());  // plain
+  {
+    NetworkConfig plain = SmallConfig();
+    plain.enable_cache = false;
+    compositions.push_back(plain);
+  }
   {
     NetworkConfig speculative = SmallConfig();
+    speculative.enable_cache = false;
     speculative.speculative_rt = true;
     compositions.push_back(speculative);
   }

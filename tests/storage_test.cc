@@ -27,6 +27,7 @@
 #include "skypeer/storage/buffer_manager.h"
 #include "skypeer/storage/page_layout.h"
 #include "skypeer/storage/paged_store.h"
+#include "skypeer/storage/store_summary.h"
 #include "skypeer/storage/store_view.h"
 
 namespace skypeer {
@@ -332,6 +333,49 @@ TEST(PagedStore, ReleaseDropsEveryPage) {
   // The freed offsets are reused: a rebuilt store reads back exactly.
   const PagedStore rebuilt = PagedStore::Build(list, &buffer);
   ExpectListsEqual(rebuilt.Materialize(), list, "rebuilt store");
+}
+
+TEST(StoreSummaryValidation, RejectsAPlantedWrongSummary) {
+  Rng rng(41);
+  const ResultList store = BuildSortedByF(GenerateUniform(5, 300, &rng));
+  const PageLayout layout(4096, 5);
+  EXPECT_TRUE(
+      ValidateStoreSummary(StoreSummary::Build(store, layout), store, layout)
+          .ok());
+  BufferManager buffer(4096, 4);
+  const PagedStore paged = PagedStore::Build(store, &buffer);
+  EXPECT_TRUE(
+      ValidateStoreSummary(*paged.summary(), store, paged.layout()).ok());
+
+  // Planted: the summary of a store whose one point sits lower on one
+  // dimension (a block min-vector too low, the page fold unchanged), of a
+  // store whose last point's f is higher (a block f-range too wide), of a
+  // shorter store, and none.
+  const StoreSummary truth = StoreSummary::Build(store, layout);
+  const size_t block = 17;
+  const size_t page = block / layout.blocks_per_page();
+  int dim = 0;
+  while (dim < 5 &&
+         !(truth.block_min(block)[dim] > truth.page_min(page)[dim])) {
+    ++dim;
+  }
+  ASSERT_LT(dim, 5);
+  ResultList lowered = store;
+  lowered.points.mutable_row(block * kDomBlockWidth)[dim] =
+      0.5 * (truth.block_min(block)[dim] + truth.page_min(page)[dim]);
+  ResultList raised = store;
+  raised.f.back() += 1.0;
+  ResultList shorter(5);
+  for (size_t i = 0; i + 1 < store.size(); ++i) {
+    shorter.points.AppendFrom(store.points, i);
+    shorter.f.push_back(store.f[i]);
+  }
+  for (const ResultList* planted : {&lowered, &raised, &shorter}) {
+    EXPECT_FALSE(ValidateStoreSummary(StoreSummary::Build(*planted, layout),
+                                      store, layout)
+                     .ok());
+  }
+  EXPECT_FALSE(ValidateStoreSummary(StoreSummary(), store, layout).ok());
 }
 
 TEST(StoreCursor, EnumeratesExactlyTheResultListOrder) {

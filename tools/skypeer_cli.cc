@@ -4,7 +4,7 @@
 //               [--degree G] [--dist uniform|clustered|correlated|anti]
 //               [--k K] [--queries Q] [--variant naive|FTFM|FTPM|RTFM|RTPM|all]
 //               [--bandwidth BYTES_PER_S] [--latency S] [--seed S]
-//               [--cache] [--verbose]
+//               [--verbose]
 //
 // Prints pre-processing statistics and per-variant averages in the
 // paper's three metrics (computational time, total time, volume).
@@ -115,10 +115,10 @@ void PrintUsageAndExit(const char* binary, int code) {
       "                   store from the retained lists instead of the\n"
       "                   default incremental drop + candidate re-merge;\n"
       "                   stores and all metrics are bit-identical\n"
-      "  --cache          enable the per-subspace result cache\n"
-      "  --cache-cap N    bound the result cache to N entries with LRU\n"
-      "                   eviction (default 0 = unbounded); results and\n"
-      "                   simulated metrics are identical at any cap\n"
+      "  --cache-cap N    bound the per-subspace scan-trace cache (always\n"
+      "                   on) to N entries with LRU eviction (default 0 =\n"
+      "                   unbounded); results and simulated metrics are\n"
+      "                   identical at any cap\n"
       "  --page-size B    store page size in bytes, a power of two in\n"
       "                   [4096, 1048576] (default 4096); fixes the\n"
       "                   logical page-charging geometry in both store\n"
@@ -273,8 +273,6 @@ CliOptions Parse(int argc, char** argv) {
           ParseU64Flag("--churn-seed", next_value(&i));
     } else if (std::strcmp(arg, "--rebuild-maintenance") == 0) {
       options.network.incremental_maintenance = false;
-    } else if (std::strcmp(arg, "--cache") == 0) {
-      options.network.enable_cache = true;
     } else if (std::strcmp(arg, "--cache-cap") == 0) {
       options.network.cache_max_entries =
           static_cast<size_t>(ParseU64Flag("--cache-cap", next_value(&i)));
